@@ -3,8 +3,9 @@
 Subcommands cover each pipeline: wronskian, polarize, kernel-basis, sos,
 artin, realize, herglotz-scan, crosscheck. Output is a JSON document on
 stdout (schema version 1), optionally copied to --output. Exit codes:
-0 success or agreeing/passing verdicts, 1 certified-negative outcomes
-(infeasibility evidence, failed scan, disagreement), 2 errors. Errors are
+0 success or agreeing/passing verdicts, 1 no certificate (infeasibility
+evidence or an inconclusive search; `status` says which), failed scan or
+disagreement, 2 errors. Errors are
 structured JSON on stderr. No randomness is exposed; identical invocations
 produce byte-identical documents.
 """
@@ -132,7 +133,7 @@ def _cmd_sos(args):
         {
             "schema": 1,
             "command": "sos",
-            "status": "infeasible",
+            "status": serialize.evidence_status(F, outcome),
             "evidence": serialize.evidence_json(outcome),
         },
         args,

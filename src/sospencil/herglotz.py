@@ -9,13 +9,20 @@ pairs this scan with the exact SOS decision on the axis-1 Wronskian and
 reports whether the two sides agree.
 
 Everything here is floating point by design. Skipped points (denominator
-too small) are counted, never silently dropped.
+too small) are counted, never silently dropped. The scan and the
+holomorphy sampler evaluate p and q in numpy, one block of the grid at a
+time (one value of its outermost coordinate), so a scan minimum may
+differ in its last bits from per-point evaluation with
+Polynomial.eval_complex; the witness is the first minimum in
+itertools.product order of the grid.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     InconclusiveScanError,
@@ -55,6 +62,68 @@ def default_holomorphy_points():
         for im in (0.5, 1.0, 2.0):
             points.append(complex(float(re), im))
     return tuple(points)
+
+
+def _z1_groups(poly):
+    """Terms of poly grouped by their exponent of z_1.
+
+    Each group is (e1, coefficients, exponents of z_2..z_d as a
+    (terms, d - 1) integer array), with float coefficients.
+    """
+    groups = {}
+    for exps, coeff in poly.terms():
+        groups.setdefault(exps[0], []).append((exps[1:], float(coeff)))
+    return [
+        (
+            e1,
+            np.array([c for _, c in terms]),
+            np.array([e for e, _ in terms], dtype=np.intp),
+        )
+        for e1, terms in sorted(groups.items())
+    ]
+
+
+def _top_exponent(*polys):
+    """Largest exponent of any single variable in the polynomials."""
+    return max((max(e, default=0) for f in polys for e, _ in f.terms()), default=0)
+
+
+def _power_table(values, top):
+    """table[e] = values ** e for e = 0..top, by repeated multiplication."""
+    table = np.ones((top + 1, len(values)), dtype=values.dtype)
+    for e in range(1, top + 1):
+        table[e] = table[e - 1] * values
+    return table
+
+
+def _block_values(groups, z1_table, tables):
+    """A polynomial's values over one grid block, as a (rows, columns) array.
+
+    The columns are the z_1 values whose power table is z1_table. The rows
+    run, in itertools.product order, over the product of the values of
+    z_2..z_d whose power tables are tables. The terms sharing one exponent
+    of z_1 are summed over the rows first, then multiplied across the
+    columns by that power of z_1.
+    """
+    rows = math.prod(table.shape[1] for table in tables)
+    out = np.zeros((rows, z1_table.shape[1]), dtype=complex)
+    for e1, coeffs, exps in groups:
+        factor = coeffs[:, None]
+        for k, table in enumerate(tables):
+            factor = (factor[:, :, None] * table[exps[:, k]][:, None, :]).reshape(
+                len(coeffs), -1
+            )
+        out += np.multiply.outer(factor.sum(axis=0), z1_table[e1])
+    return out
+
+
+def _product_point(axis, repeat, index):
+    """The index-th tuple of itertools.product(axis, repeat=repeat)."""
+    digits = []
+    for _ in range(repeat):
+        index, digit = divmod(index, len(axis))
+        digits.append(axis[digit])
+    return tuple(reversed(digits))
 
 
 @dataclass(frozen=True)
@@ -98,22 +167,40 @@ def slice_scan(f, real_grid=None, halfplane_grid=None):
                 f"half-plane grid point {z} has nonpositive imaginary part"
             )
 
+    p_groups, q_groups = _z1_groups(f.p), _z1_groups(f.q)
+    top = _top_exponent(f.p, f.q)
+    z1_table = _power_table(np.array(halfplane, dtype=complex), top)
+    x_table = _power_table(np.array(real_axis, dtype=float), top)
+    # one block per value of x_2, the outermost coordinate of the product order
+    if d == 1:
+        blocks = [[]]
+    else:
+        blocks = (
+            [x_table[:, b : b + 1]] + [x_table] * (d - 2)
+            for b in range(len(real_axis))
+        )
+    rows = len(real_axis) ** max(d - 2, 0)
+
     min_im = None
     witness = None
     samples = 0
     skipped = 0
-    for xhat in itertools.product(real_axis, repeat=d - 1):
-        for z1 in halfplane:
-            point = (z1,) + tuple(complex(x) for x in xhat)
-            qv = f.q.eval_complex(point)
-            if abs(qv) <= DENOMINATOR_THRESHOLD:
-                skipped += 1
-                continue
-            value = (f.p.eval_complex(point) / qv).imag
-            samples += 1
-            if min_im is None or value < min_im:
-                min_im = value
-                witness = point
+    for b, tables in enumerate(blocks):
+        qv = _block_values(q_groups, z1_table, tables)
+        keep = np.flatnonzero(np.abs(qv) > DENOMINATOR_THRESHOLD)
+        samples += keep.size
+        skipped += qv.size - keep.size
+        if not keep.size:
+            continue
+        pv = _block_values(p_groups, z1_table, tables)
+        values = (pv.ravel()[keep] / qv.ravel()[keep]).imag
+        first = int(np.argmin(values))
+        value = float(values[first])
+        if min_im is None or value < min_im:
+            row, col = divmod(int(keep[first]), len(halfplane))
+            xhat = _product_point(real_axis, d - 1, b * rows + row)
+            min_im = value
+            witness = (halfplane[col],) + tuple(complex(x) for x in xhat)
     if min_im is None:
         raise InconclusiveScanError(
             "every grid point fell below the denominator threshold"
@@ -152,9 +239,15 @@ def holomorphy_sample_check(q, grid=None):
             raise StructuralError(
                 f"holomorphy grid point {z} has nonpositive imaginary part"
             )
-    for point in itertools.product(axis, repeat=d):
-        if abs(q.eval_complex(point)) <= DENOMINATOR_THRESHOLD:
-            return False, point
+    groups = _z1_groups(q)
+    table = _power_table(np.array(axis, dtype=complex), _top_exponent(q))
+    rows = len(axis) ** (d - 1)
+    # one block per value of z_1, the outermost coordinate of the product order
+    for b in range(len(axis)):
+        values = _block_values(groups, table[:, b : b + 1], [table] * (d - 1))
+        bad = np.flatnonzero(np.abs(values) <= DENOMINATOR_THRESHOLD)
+        if bad.size:
+            return False, _product_point(axis, d, b * rows + int(bad[0]))
     return True, None
 
 

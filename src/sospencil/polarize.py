@@ -150,11 +150,6 @@ def cross_product_polynomial(pencil):
     return Polynomial(2 * d, terms)
 
 
-def _hom_variable_order(d):
-    """Hom variable indices (0-based) in descending graded-lex order: z_1..z_d, aux."""
-    return list(range(d + 1))
-
-
 def pair_pencil(alpha, beta, basis):
     """Pencil B with B(z) Psi(z)^T = z^beta e_{idx(alpha)} exactly.
 
@@ -193,10 +188,11 @@ def pair_pencil(alpha, beta, basis):
 
     chain = chain_pencil(k)
     size = chain.size
-    # slot -> hom variable, 0-based slots
+    # slot -> hom variable, 0-based slots; hom variables z_1..z_d, aux are
+    # indices 0..d, which is their descending graded-lex order
     slot_var = [None] * size
-    even_vars = [v for v in _hom_variable_order(d) for _ in range(m1[v])]
-    odd_vars = [v for v in _hom_variable_order(d) for _ in range(m2[v])]
+    even_vars = [v for v in range(d + 1) for _ in range(m1[v])]
+    odd_vars = [v for v in range(d + 1) for _ in range(m2[v])]
     for slot, var in zip(range(1, size, 2), even_vars):  # slots 2, 4, ... (1-based)
         slot_var[slot] = var
     for slot, var in zip(range(0, size, 2), odd_vars):  # slots 1, 3, ... (1-based)

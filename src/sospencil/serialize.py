@@ -81,6 +81,18 @@ def certificate_json(cert):
     }
 
 
+def evidence_status(F, evidence):
+    """Status of an SOS outcome that carries no certificate for F.
+
+    Evidence that passed the gate (it has a margin) and odd total degree,
+    which rules F out exactly, are "infeasible"; every other outcome is
+    "inconclusive".
+    """
+    if evidence.margin is not None or F.degree() % 2:
+        return "infeasible"
+    return "inconclusive"
+
+
 def evidence_json(evidence):
     return {
         "margin": evidence.margin,
@@ -111,7 +123,10 @@ def crosscheck_json(report):
     if report.certificate is not None:
         sos_side = {"status": "certificate", "certificate": certificate_json(report.certificate)}
     else:
-        sos_side = {"status": "infeasible", "evidence": evidence_json(report.evidence)}
+        sos_side = {
+            "status": evidence_status(report.wronskian, report.evidence),
+            "evidence": evidence_json(report.evidence),
+        }
     doc = {
         "verdict": report.verdict,
         "wronskian": polynomial_json(report.wronskian),

@@ -71,6 +71,25 @@ class TestSos:
         assert doc["status"] == "infeasible"
         assert doc["evidence"]["margin"] > 0
 
+    def test_odd_degree_is_infeasible(self, capsys):
+        code, doc = run_json(capsys, "sos", "z1^3 + 1")
+        assert code == 1
+        assert doc["status"] == "infeasible"
+        assert doc["evidence"]["reason"] == "odd total degree"
+
+    def test_unrounded_sum_of_squares_is_inconclusive(self, capsys):
+        # a sum of squares whose Gram matrices all share an irrational
+        # kernel: no rounding is found, which is no evidence of infeasibility
+        code, doc = run_json(
+            capsys,
+            "sos",
+            "(-4*z3^2 + 3*z1 - 5*z2)^2 + (-5*z1*z3 - z2^2 + 1/2)^2"
+            " + (-1/2*z1^2 - 1/2*z2*z3)^2",
+        )
+        assert code == 1
+        assert doc["status"] == "inconclusive"
+        assert doc["evidence"]["margin"] is None
+
 
 class TestArtin:
     def test_default_family_covers_motzkin(self, capsys):

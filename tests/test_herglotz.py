@@ -1,6 +1,10 @@
 """Slice-criterion scanning and the exact-vs-numeric crosscheck."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sospencil.errors import (
     InconclusiveScanError,
@@ -8,6 +12,8 @@ from sospencil.errors import (
     StructuralError,
 )
 from sospencil.herglotz import (
+    DENOMINATOR_THRESHOLD,
+    SCAN_TOLERANCE,
     CrosscheckReport,
     ScanReport,
     crosscheck_slice_criterion,
@@ -18,7 +24,7 @@ from sospencil.herglotz import (
     slice_scan,
 )
 from sospencil.parsing import parse_polynomial
-from sospencil.polycore import RationalFunction
+from sospencil.polycore import Polynomial, RationalFunction
 from sospencil.soscert import InfeasibilityEvidence, SosCertificate
 
 
@@ -28,6 +34,77 @@ def poly(text, nvars=None):
 
 def ratio(p_text, q_text, nvars=None):
     return RationalFunction(poly(p_text, nvars), poly(q_text, nvars))
+
+
+# -- per-point references: one eval_complex call per grid point ---------------
+
+
+def reference_scan(f, real_axis, halfplane):
+    """(min_im, witness, samples, skipped) in itertools.product order."""
+    min_im = witness = None
+    samples = skipped = 0
+    for xhat in itertools.product(real_axis, repeat=f.nvars - 1):
+        for z1 in halfplane:
+            point = (z1,) + tuple(complex(x) for x in xhat)
+            qv = f.q.eval_complex(point)
+            if abs(qv) <= DENOMINATOR_THRESHOLD:
+                skipped += 1
+                continue
+            value = (f.p.eval_complex(point) / qv).imag
+            samples += 1
+            if min_im is None or value < min_im:
+                min_im, witness = value, point
+    return min_im, witness, samples, skipped
+
+
+def reference_holomorphy(q, axis):
+    for point in itertools.product(axis, repeat=q.nvars):
+        if abs(q.eval_complex(point)) <= DENOMINATOR_THRESHOLD:
+            return False, point
+    return True, None
+
+
+# the block evaluator sums in another order than eval_complex; fixed before
+# any comparison was run, from float64 rounding on these small inputs
+MIN_IM_RTOL = 1e-12
+HALF_INTEGERS = tuple(x / 2 for x in range(-6, 7))
+
+
+@st.composite
+def sparse_polys(draw, nvars):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * nvars),
+            st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return Polynomial(nvars, terms)
+
+
+@st.composite
+def scan_cases(draw):
+    d = draw(st.integers(1, 4))
+    p = draw(sparse_polys(d))
+    q = draw(sparse_polys(d))
+    if q.is_zero():
+        q = Polynomial.one(d)
+    if d > 1 and draw(st.booleans()):
+        q = q * Polynomial.variable(2, d)  # vanishes on the grid where x_2 = 0
+    real_axis = draw(
+        st.lists(st.sampled_from(HALF_INTEGERS), min_size=1, max_size=3, unique=True)
+    )
+    halfplane = draw(
+        st.lists(
+            st.builds(
+                complex, st.sampled_from(HALF_INTEGERS), st.sampled_from((0.1, 0.5, 1.0, 2.0))
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return RationalFunction(p, q), tuple(real_axis), tuple(halfplane)
 
 
 class TestDefaultGrids:
@@ -102,6 +179,47 @@ class TestSliceScan:
         with pytest.raises(StructuralError):
             slice_scan(poly("z1"))
 
+    @pytest.mark.parametrize(
+        "p_text, q_text, nvars",
+        [
+            ("-1", "z1", 1),
+            ("1", "z1", 1),
+            ("z1*z2", "1", 2),
+            ("-(z1 + z2)", "z1*z2", 2),
+            ("1", "z2", 2),
+        ],
+    )
+    def test_fixtures_match_reference_exactly(self, p_text, q_text, nvars):
+        f = ratio(p_text, q_text, nvars)
+        report = slice_scan(f)
+        expected = reference_scan(f, default_real_axis(), default_halfplane_points())
+        assert (report.min_im, report.witness, report.samples, report.skipped) == expected
+        assert all(type(z) is complex for z in report.witness)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    def test_blocks_match_per_point_reference(self, case):
+        f, real_axis, halfplane = case
+        ref_min, _, samples, skipped = reference_scan(f, real_axis, halfplane)
+        if ref_min is None:
+            with pytest.raises(InconclusiveScanError):
+                slice_scan(f, real_axis, halfplane)
+            return
+        report = slice_scan(f, real_axis, halfplane)
+        assert (report.samples, report.skipped) == (samples, skipped)
+        assert report.verdict == ("fail" if ref_min < -SCAN_TOLERANCE else "pass")
+        tolerance = MIN_IM_RTOL * max(1.0, abs(ref_min))
+        assert abs(report.min_im - ref_min) <= tolerance
+        # near-ties may pick another witness: it need only attain min_im
+        z1, *xhat = report.witness
+        assert z1 in halfplane
+        assert all(x.imag == 0 and x.real in real_axis for x in xhat)
+        assert all(type(z) is complex for z in report.witness)
+        qv = f.q.eval_complex(report.witness)
+        assert abs(qv) > DENOMINATOR_THRESHOLD
+        value = (f.p.eval_complex(report.witness) / qv).imag
+        assert abs(value - report.min_im) <= tolerance
+
 
 class TestHolomorphyCheck:
     def test_nonvanishing_passes(self):
@@ -116,6 +234,33 @@ class TestHolomorphyCheck:
     def test_rejects_bad_grid(self):
         with pytest.raises(StructuralError):
             holomorphy_sample_check(poly("z1"), grid=[0.5 - 1j])
+
+    def test_first_witness_in_product_order(self):
+        q = poly("(z1^2 + 1)*(z2^2 + 4)")
+        result = holomorphy_sample_check(q)
+        assert result == reference_holomorphy(q, default_holomorphy_points())
+        # z1 is the outermost coordinate: its first grid value, then z2 = 2i
+        assert result == (False, (-3 + 0.5j, 2j))
+
+    def test_three_variable_pass(self):
+        q = poly("z1 + z2 + z3")
+        assert holomorphy_sample_check(q) == (True, None)
+        assert reference_holomorphy(q, default_holomorphy_points()) == (True, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_point_reference(self, data):
+        # products of factors z_k^2 + c vanish exactly at the grid points i sqrt(c)
+        d = data.draw(st.integers(1, 3))
+        q = Polynomial.one(d)
+        for k, c in data.draw(
+            st.lists(st.tuples(st.integers(1, d), st.sampled_from((1, 4))), max_size=3)
+        ):
+            q = q * (Polynomial.variable(k, d) * Polynomial.variable(k, d) + Polynomial.constant(c, d))
+        axis = data.draw(
+            st.lists(st.sampled_from((1j, 2j, 0.5 + 1j, -1 + 0.5j, 3 + 2j)), min_size=1, max_size=4)
+        )
+        assert holomorphy_sample_check(q, axis) == reference_holomorphy(q, tuple(axis))
 
 
 class TestCrosscheck:
