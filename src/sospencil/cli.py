@@ -19,7 +19,12 @@ import sys
 from . import serialize
 from .errors import NoCertificateError, ParseError, SospencilError
 from .gramkernel import kernel_basis
-from .herglotz import crosscheck_slice_criterion, slice_scan
+from .herglotz import (
+    crosscheck_slice_criterion,
+    default_halfplane_points,
+    default_real_axis,
+    slice_scan,
+)
 from .parsing import max_variable_index, parse_polynomial
 from .polarize import product_polarization, verify_pencil
 from .polycore import RationalFunction, build_basis, wronskian
@@ -58,8 +63,12 @@ def _scan_grids(args):
         real_grid = _csv_floats(args.xhat_values)
     halfplane_grid = None
     if args.z1_real is not None or args.z1_imag is not None:
-        reals = _csv_floats(args.z1_real) if args.z1_real else [x / 2.0 for x in range(-6, 7)]
-        imags = _csv_floats(args.z1_imag) if args.z1_imag else [0.1, 0.5, 1.0, 2.0]
+        reals = _csv_floats(args.z1_real) if args.z1_real else default_real_axis()
+        imags = (
+            _csv_floats(args.z1_imag)
+            if args.z1_imag
+            else sorted({z.imag for z in default_halfplane_points()})
+        )
         halfplane_grid = [complex(x, y) for x in reals for y in imags]
     return real_grid, halfplane_grid
 

@@ -153,25 +153,15 @@ def nullspace(rows, ncols):
             [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
             for j in range(ncols)
         ]
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][free]
-        basis.append(vec)
-    return basis
+    return solve_affine(rows, [Fraction(0)] * len(rows))[1]
 
 
 def solve_affine(rows, rhs):
     """All solutions of rows @ x = rhs.
 
-    Returns (particular, homogeneous_basis) or None when inconsistent.
-    An empty system returns (zero vector, full basis).
+    Returns (particular, homogeneous_basis) or None when inconsistent. Both
+    are read off one RREF of the augmented system, whose first ncols
+    columns are the RREF of rows.
     """
     if not rows:
         raise StructuralError("solve_affine needs at least one equation row")
@@ -183,7 +173,16 @@ def solve_affine(rows, rhs):
     particular = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         particular[c] = reduced[r][ncols]
-    basis = nullspace(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][free]
+        basis.append(vec)
     return particular, basis
 
 

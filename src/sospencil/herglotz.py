@@ -47,12 +47,10 @@ def default_real_axis():
 
 
 def default_halfplane_points():
-    """Grid x + iy with x in [-3, 3] step 0.5 and y in {0.1, 0.5, 1, 2}."""
-    points = []
-    for re2 in range(-6, 7):
-        for im in (0.1, 0.5, 1.0, 2.0):
-            points.append(complex(re2 / 2.0, im))
-    return tuple(points)
+    """Grid x + iy with x on default_real_axis() and y in {0.1, 0.5, 1, 2}."""
+    return tuple(
+        complex(x, y) for x in default_real_axis() for y in (0.1, 0.5, 1.0, 2.0)
+    )
 
 
 def default_holomorphy_points():

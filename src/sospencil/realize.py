@@ -48,33 +48,19 @@ class Realization:
 
 
 def _top_derivative_kill(matrix, basis, axis):
-    """Check M d^cap Psi^T / d z_axis^cap == 0 by symbolic differentiation.
+    """Check M d^cap Psi^T / d z_axis^cap == 0.
 
     The cap is the largest axis exponent present in the basis; only
-    monomials attaining it survive the derivative.
+    monomials attaining it survive the derivative, and distinct ones have
+    distinct derivatives. So the product vanishes exactly when no stored
+    entry lies in a row or column whose monomial attains the cap.
     """
     cap = max(m[axis - 1] for m in basis.monomials)
     if cap == 0:
         # the derivative of the constant-in-axis vector is zero already
         return True
-    scale = 1
-    for t in range(1, cap + 1):
-        scale *= t
-    derivative = {}
-    for j, mono in enumerate(basis.monomials):
-        if mono[axis - 1] == cap:
-            reduced = list(mono)
-            reduced[axis - 1] = 0
-            derivative[j] = tuple(reduced)
-    rows = {}
-    for (i, j), value in matrix.entries():
-        for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
-            if b in derivative:
-                rows.setdefault(a, Polynomial.zero(basis.nvars))
-                rows[a] = rows[a] + Polynomial.monomial(
-                    derivative[b], value * scale
-                )
-    return all(poly.is_zero() for poly in rows.values())
+    top = {j for j, mono in enumerate(basis.monomials) if mono[axis - 1] == cap}
+    return not any(i in top or j in top for (i, j), _ in matrix.entries())
 
 
 def wronskian_realization(p, q, s):
@@ -93,7 +79,6 @@ def wronskian_realization(p, q, s):
 
     B = product_polarization(q * s, p * s)
     basis = B.basis
-    d = basis.nvars
     B1 = B.matrices[1]
     if not _top_derivative_kill(B1, basis, 1):
         raise InternalConsistencyError(

@@ -12,9 +12,11 @@ diagonal in a PSD matrix forces its whole row to vanish). This keeps the
 search family small and removes the worst rank degeneracies; when a diagonal
 is pinned to a negative value the elimination already yields an exact dual
 witness of infeasibility. When the numeric search still lands on a singular
-face, candidate kernel vectors of the numeric optimum are rationalized and
-imposed as exact linear constraints, and the search repeats on the reduced
-face until rounding succeeds or the refinement stalls.
+face that neither rounding nor the vertex hunt resolves, one step of partial
+facial reduction (Permenter-Parrilo, Math. Prog. 171, 2018) follows: the
+near-kernel vectors v of the numeric optimum are rationalized, A(lam) v = 0
+is imposed exactly, and the search is solved and rounded once more on that
+face.
 
 All numeric solves go through one deterministic numpy primal-dual interior
 point method (_ipm). Infeasibility is reported as numeric dual evidence (a
@@ -39,8 +41,8 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .exactlinalg import SymMatrix, psd_factor, rref, solve_affine
-from .gramkernel import kernel_basis, pairs_for_beta
+from .exactlinalg import SymMatrix, is_psd, psd_factor, rref, solve_affine
+from .gramkernel import kernel_basis
 from .polarize import quadratic_form_polynomial
 from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
 
@@ -60,7 +62,6 @@ _SCHUR_BLOCK = 1 << 20  # Schur-complement gather entries held at once
 _HUNT_SLACK = 1e-6
 _ROUND_BOUNDS = (10, 100, 10**4, 10**6)
 _VECTOR_BOUNDS = (10, 100, 10**4)
-_FACIAL_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -113,57 +114,32 @@ def initial_gram(F, basis):
     """
     if not isinstance(F, Polynomial) or F.nvars != basis.nvars:
         raise StructuralError("polynomial and basis arities differ")
-    A0 = SymMatrix(len(basis))
-    for beta, coeff in F.terms():
-        group = pairs_for_beta(beta, basis)
-        if not group.pairs:
-            raise NotRepresentableError(
-                f"monomial with exponents {beta} is not a product of two basis "
-                "monomials"
-            )
-        squared = [pair for pair in group.pairs if pair[0] == pair[1]]
-        if squared:
-            i, _ = squared[0]
-            A0.add(i, i, coeff)
-        else:
-            share = coeff / (2 * len(group.pairs))
-            for i, j in group.pairs:
-                A0.add(i, j, share)
+    A0 = _full_gram(F, basis, _pair_classes(basis.monomials))
     if quadratic_form_polynomial(A0, basis) != F:
         raise InternalConsistencyError("initial Gram matrix does not represent F")
     return GramForm(basis, A0, tuple(kernel_basis(basis)))
 
 
-def _diagonal_reduction(F, basis):
+def _diagonal_reduction(F, monos, classes):
     """Delete monomials whose squared class pins the diagonal entry.
 
-    If the only surviving pair with product 2*alpha is (alpha, alpha), the
-    diagonal entry equals the coefficient of z^(2 alpha) in every Gram
-    matrix: zero forces the whole row of a PSD matrix to vanish (monomial
-    deleted), negative is an exact infeasibility. Returns (alive_indices,
-    forced) with forced = (index, negative_coefficient) or None.
+    If the only surviving pair in the product class of 2*alpha (classes as
+    built by _pair_classes over monos) is (alpha, alpha), the diagonal entry
+    equals the coefficient of z^(2 alpha) in every Gram matrix: zero forces
+    the whole row of a PSD matrix to vanish (monomial deleted), negative is
+    an exact infeasibility. Returns (alive_indices, forced) with forced =
+    (index, negative_coefficient) or None.
     """
-    monos = basis.monomials
-    index = {m: i for i, m in enumerate(monos)}
-    coeff = {beta: c for beta, c in F.terms()}
+    coeff = dict(F.terms())
     alive = set(range(len(monos)))
     changed = True
     while changed:
         changed = False
         for i in sorted(alive):
             double = tuple(2 * e for e in monos[i])
-            partnered = False
-            for j in alive:
-                rest = tuple(a - b for a, b in zip(double, monos[j]))
-                if any(e < 0 for e in rest):
-                    continue
-                k = index.get(rest)
-                if k is None or k not in alive:
-                    continue
-                if (min(j, k), max(j, k)) != (i, i):
-                    partnered = True
-                    break
-            if partnered:
+            if any(
+                pair != (i, i) and alive.issuperset(pair) for pair in classes[double]
+            ):
                 continue
             pinned = coeff.get(double, Fraction(0))
             if pinned == 0:
@@ -207,6 +183,17 @@ def _gram_over(F, monos, classes):
     return A0, missing
 
 
+def _full_gram(F, basis, classes):
+    """_gram_over on the whole basis; raises when F is not representable."""
+    A0, missing = _gram_over(F, basis.monomials, classes)
+    if missing:
+        raise NotRepresentableError(
+            f"monomial with exponents {missing[0]} is not a product of two basis "
+            "monomials"
+        )
+    return A0
+
+
 def _star_kernel(classes, size):
     """Sparse basis of the kernel space over an arbitrary monomial list.
 
@@ -229,19 +216,6 @@ def _star_kernel(classes, size):
             S.set(pair[0], pair[1], Fraction(-anchor_weight, g))
             mats.append(S)
     return mats
-
-
-def _reconstruction(monos, gram, nvars):
-    out = Polynomial.zero(nvars)
-    for (i, j), value in gram.entries():
-        scale = value if i == j else 2 * value
-        exps = tuple(a + b for a, b in zip(monos[i], monos[j]))
-        out = out + Polynomial.monomial(exps, scale)
-    return out
-
-
-def _exact_psd(gram):
-    return psd_factor(gram.to_dense()) is not None
 
 
 def _certificate_from_gram(F, basis, gram):
@@ -502,7 +476,7 @@ def _round_lam(A0, kernel_mats, lam_floats):
     """First rounding of lam (by growing denominator bound) that is PSD."""
     for bound in _ROUND_BOUNDS:
         lam = [Fraction(x).limit_denominator(bound) for x in lam_floats]
-        if _exact_psd(_affine_point(A0, kernel_mats, lam)):
+        if is_psd(_affine_point(A0, kernel_mats, lam)):
             return lam
     return None
 
@@ -587,108 +561,55 @@ def _restrict(sym, keep):
     return out
 
 
-def _combine(kernel_mats, coeffs, size):
-    out = SymMatrix(size)
-    for coeff, S in zip(coeffs, kernel_mats):
-        if coeff:
-            for (i, j), value in S.entries():
-                out.add(i, j, coeff * value)
-    return out
+def _face_step(A0, kernel_mats, size, lam_floats):
+    """One step of partial facial reduction at a near-singular optimum.
 
-
-def _constrained_attempt(A0, kernel_mats, size, vectors):
-    """Impose A(lam) v = 0 exactly for rational vectors v, then retry.
-
-    Returns ("gram", matrix), ("lam", floats) to continue refining, or None
-    when the constraints are inconsistent or unusable.
+    The near-kernel vectors of A(lam_floats) are rationalized with growing
+    denominator bounds. For each bound, A(lam) v = 0 is imposed exactly for
+    every rational v, the max-min-eig problem is solved on that face,
+    restricted to the coordinates outside the pivots of the v (a symmetric
+    matrix annihilating the v is PSD exactly when that restriction is), and
+    its optimum is rounded. Returns an exact PSD Gram matrix or None.
     """
-    K = len(kernel_mats)
-    rows, rhs = [], []
-    for vec in vectors:
-        A0v = _matvec(A0, vec)
-        Sv = [_matvec(S, vec) for S in kernel_mats]
-        for r in range(size):
-            row = [Sv[i][r] for i in range(K)]
-            if any(row) or A0v[r]:
-                rows.append(row)
-                rhs.append(-A0v[r])
-    if not rows:
+    A = _to_array(A0, size) + _Family(kernel_mats, size).combine(lam_floats)
+    eigvals, eigvecs = np.linalg.eigh(A)
+    scale = max(1.0, float(np.abs(eigvals).max()))
+    reduced = _float_rref(eigvecs[:, eigvals < 1e-5 * scale].T)
+    if reduced.size == 0:
         return None
-    solution = solve_affine(rows, rhs)
-    if solution is None:
-        return None
-    lam_p, H = solution
-    anchored = _affine_point(A0, kernel_mats, lam_p)
-    if not H:
-        return ("gram", anchored) if _exact_psd(anchored) else None
-    # quotient coordinates: complement of the constraint pivots
-    _, pivots = rref(vectors)
-    keep = [j for j in range(size) if j not in set(pivots)]
-    if not keep:
-        return ("gram", anchored) if _exact_psd(anchored) else None
-    free_mats = [_combine(kernel_mats, h, size) for h in H]
-    anchored_r = _restrict(anchored, keep)
-    free_r = [_restrict(S, keep) for S in free_mats]
-    solve = _max_min_eig(anchored_r, free_r, len(keep))
-    if solve.t < -_INFEAS_TOL:
-        return None
-    mu = solve.lam
-
-    def lift(mu_exact):
-        return [
-            lam_p[i] + sum(m * h[i] for m, h in zip(mu_exact, H))
-            for i in range(K)
+    for bound in _VECTOR_BOUNDS:
+        vectors = [
+            [Fraction(x).limit_denominator(bound) for x in row] for row in reduced
         ]
-
-    for bound in _ROUND_BOUNDS:
-        mu_exact = [Fraction(x).limit_denominator(bound) for x in mu]
-        gram = _affine_point(A0, kernel_mats, lift(mu_exact))
-        if _exact_psd(gram):
-            return ("gram", gram)
-    mu_vertex = _vertex_hunt(anchored_r, free_r, len(keep), solve.t)
-    if mu_vertex is not None:
-        gram = _affine_point(A0, kernel_mats, lift(mu_vertex))
-        if _exact_psd(gram):
-            return ("gram", gram)
-    lam_float = [
-        float(lam_p[i]) + sum(m * float(h[i]) for m, h in zip(mu, H))
-        for i in range(K)
-    ]
-    return ("lam", lam_float)
-
-
-def _facial_search(A0, kernel_mats, size, lam_floats):
-    """Refine a near-singular numeric optimum into an exact PSD point."""
-    A0n = _to_array(A0, size)
-    fam = _Family(kernel_mats, size)
-    lam = list(lam_floats)
-    for _ in range(_FACIAL_ROUNDS):
-        A = A0n + fam.combine(lam)
-        eigvals, eigvecs = np.linalg.eigh(A)
-        scale = max(1.0, float(np.abs(eigvals).max()))
-        near = [eigvecs[:, i] for i in range(size) if eigvals[i] < 1e-5 * scale]
-        if not near:
-            return None
-        reduced = _float_rref([list(v) for v in near])
-        if reduced.size == 0:
-            return None
-        progressed = False
-        for bound in _VECTOR_BOUNDS:
-            vectors = [
-                [Fraction(x).limit_denominator(bound) for x in row]
-                for row in reduced
-            ]
-            outcome = _constrained_attempt(A0, kernel_mats, size, vectors)
-            if outcome is None:
-                continue
-            tag, payload = outcome
-            if tag == "gram":
-                return payload
-            lam = payload
-            progressed = True
-            break
-        if not progressed:
-            return None
+        rows, rhs = [], []
+        for vec in vectors:
+            A0v = _matvec(A0, vec)
+            Sv = [_matvec(S, vec) for S in kernel_mats]
+            for r in range(size):
+                row = [v[r] for v in Sv]
+                if any(row) or A0v[r]:
+                    rows.append(row)
+                    rhs.append(-A0v[r])
+        solution = solve_affine(rows, rhs) if rows else None
+        if solution is None:
+            continue
+        lam_p, H = solution
+        anchored = _affine_point(A0, kernel_mats, lam_p)
+        pivots = set(rref(vectors)[1])
+        keep = [j for j in range(size) if j not in pivots]
+        if not H or not keep:
+            if is_psd(anchored):
+                return anchored
+            continue
+        free = [_affine_point(SymMatrix(size), kernel_mats, h) for h in H]
+        anchored_r = _restrict(anchored, keep)
+        free_r = [_restrict(S, keep) for S in free]
+        solve = _max_min_eig(anchored_r, free_r, len(keep))
+        if solve.t < -_INFEAS_TOL:
+            continue
+        mu = _round_lam(anchored_r, free_r, solve.lam)
+        if mu is not None:
+            return _affine_point(anchored, free, mu)
     return None
 
 
@@ -729,10 +650,10 @@ def _numeric_evidence(solve, reason=None):
     )
 
 
-def _full_family_evidence(F, basis, reason=None):
+def _full_family_evidence(F, basis, classes, reason=None):
     """Dual evidence computed against the unreduced Gram family."""
-    form = initial_gram(F, basis)
-    solve = _max_min_eig(form.A0, [el.matrix for el in form.kernel], len(basis))
+    A0 = _full_gram(F, basis, classes)
+    solve = _max_min_eig(A0, _star_kernel(classes, len(basis)), len(basis))
     return _numeric_evidence(solve, reason=reason)
 
 
@@ -771,49 +692,46 @@ def sos_certify(F, basis=None):
             f"Gram basis has {N} monomials, capacity {GRAM_CAPACITY}"
         )
 
-    alive, forced = _diagonal_reduction(F, basis)
+    classes = _pair_classes(basis.monomials)
+    alive, forced = _diagonal_reduction(F, basis.monomials, classes)
     if forced is not None:
         return _full_family_evidence(
             F,
             basis,
+            classes,
             reason="exact preprocessing pinned a diagonal Gram entry to a "
             "negative value",
         )
     monos = [basis.monomials[i] for i in alive]
-    classes = _pair_classes(monos)
-    A0, missing = _gram_over(F, monos, classes)
+    alive_classes = _pair_classes(monos)
+    A0, missing = _gram_over(F, monos, alive_classes)
     if missing:
-        beta = missing[0]
-        if not pairs_for_beta(beta, basis).pairs:
-            raise NotRepresentableError(
-                f"monomial with exponents {beta} is not a product of two basis "
-                "monomials"
-            )
         return _full_family_evidence(
             F,
             basis,
+            classes,
             reason="a coefficient of F is reachable only through Gram rows "
             "that exact preprocessing pinned to zero",
         )
-    if _reconstruction(monos, A0, d) != F:
+    if quadratic_form_polynomial(_embed(A0, alive, N), basis) != F:
         raise InternalConsistencyError("initial Gram matrix does not represent F")
-    kernel_mats = _star_kernel(classes, len(monos))
+    kernel_mats = _star_kernel(alive_classes, len(monos))
 
-    gram = A0 if _exact_psd(A0) else None
+    gram = A0 if is_psd(A0) else None
     if gram is None:
         solve = _max_min_eig(A0, kernel_mats, len(monos))
         if solve.t < -_INFEAS_TOL:
             if len(alive) == N:
                 return _numeric_evidence(solve)
             # report evidence against the full requested family
-            return _full_family_evidence(F, basis)
+            return _full_family_evidence(F, basis, classes)
         lam = _round_lam(A0, kernel_mats, solve.lam)
         if lam is None:
             lam = _vertex_hunt(A0, kernel_mats, len(monos), solve.t)
         if lam is not None:
             gram = _affine_point(A0, kernel_mats, lam)
         else:
-            gram = _facial_search(A0, kernel_mats, len(monos), solve.lam)
+            gram = _face_step(A0, kernel_mats, len(monos), solve.lam)
         if gram is None:
             # a near-feasible optimum is no evidence of infeasibility
             return InfeasibilityEvidence(

@@ -164,6 +164,19 @@ class TestHerglotzScan:
         assert doc["report"]["samples"] == 8
         assert doc["report"]["grid"]["real_axis"] == [1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "option, values",
+        [
+            ("--z1-imag", "0.1,0.5,1,2"),
+            ("--z1-real", "-3,-2.5,-2,-1.5,-1,-0.5,0,0.5,1,1.5,2,2.5,3"),
+        ],
+    )
+    def test_default_axis_values_give_default_grid(self, capsys, option, values):
+        # the other axis then falls back to its default
+        _, default, _ = run(capsys, "herglotz-scan", "-1", "z1")
+        _, explicit, _ = run(capsys, "herglotz-scan", "-1", "z1", option, values)
+        assert explicit == default
+
 
 class TestCrosscheck:
     def test_agreement_exit_zero(self, capsys):
@@ -217,9 +230,17 @@ class TestPlumbing:
         assert target.read_text() == out
 
     def test_byte_determinism(self, capsys):
-        _, first, _ = run(capsys, "crosscheck", "-(z1+z2)", "z1*z2")
-        _, second, _ = run(capsys, "crosscheck", "-(z1+z2)", "z1*z2")
-        assert first == second
+        motzkin = "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1"
+        for argv in (
+            ("crosscheck", "-(z1+z2)", "z1*z2"),
+            # full-family evidence after exact preprocessing
+            ("sos", motzkin),
+            # a face step certifies one of the minimization's trials
+            ("artin", motzkin, "--candidates", "(z1^2 + z2^2)^2", "--minimize"),
+        ):
+            _, first, _ = run(capsys, *argv)
+            _, second, _ = run(capsys, *argv)
+            assert first == second
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

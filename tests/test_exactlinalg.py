@@ -67,6 +67,7 @@ class TestElimination:
             assert mat_vec(rows, particular) == rhs
             for h in homogeneous:
                 assert all(v == 0 for v in mat_vec(rows, h))
+            assert homogeneous == nullspace(rows, len(rows[0]))
 
     def test_solve_affine_inconsistent(self):
         rows = [[Fraction(1)], [Fraction(1)]]

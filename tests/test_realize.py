@@ -15,8 +15,9 @@ from sospencil.errors import (
 from sospencil.exactlinalg import SymMatrix, is_psd
 from sospencil.parsing import parse_polynomial
 from sospencil.polarize import SymmetricPencil, quadratic_form_polynomial
-from sospencil.polycore import Polynomial, wronskian
+from sospencil.polycore import Polynomial, build_basis, wronskian
 from sospencil.realize import (
+    _top_derivative_kill,
     Realization,
     verify_realization,
     wronskian_realization,
@@ -92,6 +93,24 @@ class TestConstruction:
         basis = r.pencil.basis
         form = quadratic_form_polynomial(r.pencil.matrices[1], basis)
         assert form == s_squared_wronskian(p, q, poly("1", 1))
+
+
+class TestTopDerivativeKill:
+    # basis 1, z1, z2, z1^2, z1*z2, z2^2: z1^2 (index 3) attains the z1 cap
+    basis = build_basis(2, (2, 2))
+
+    def test_entry_in_top_row_survives_the_derivative(self):
+        M = SymMatrix(len(self.basis), {(1, 3): Fraction(1)})
+        assert not _top_derivative_kill(M, self.basis, 1)
+
+    def test_entries_off_top_rows_are_killed(self):
+        M = SymMatrix(len(self.basis), {(0, 0): Fraction(2), (1, 5): Fraction(-1)})
+        assert _top_derivative_kill(M, self.basis, 1)
+
+    def test_cap_zero_is_killed(self):
+        basis = build_basis(1, (1, 0))
+        M = SymMatrix(len(basis), {(0, 1): Fraction(1), (1, 1): Fraction(3)})
+        assert _top_derivative_kill(M, basis, 2)
 
 
 def s_squared_wronskian(p, q, s):

@@ -28,6 +28,7 @@ from sospencil.soscert import (
 )
 
 MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1"
+CHOI_LAM = "z1^4*z2^2 + z2^4 + z1^2 - 3*z1^2*z2^2"
 
 
 def poly(text, nvars=None):
@@ -159,6 +160,39 @@ class TestCertifyFailure:
         assert isinstance(ev, InfeasibilityEvidence)
         assert ev.margin > 1e-6
         assert ev.reason is not None
+
+    @pytest.mark.parametrize(
+        "text, nvars",
+        [
+            (MOTZKIN, 2),
+            ("z1^2 - 1", 1),
+            (CHOI_LAM, 2),
+            # rows z1 and z2 removed, the reduced family misses the PSD cone
+            ("25*z1^2*z2^2 - 40*z1*z2 + 15", 2),
+        ],
+    )
+    def test_evidence_over_full_default_basis(self, text, nvars):
+        # exact preprocessing removes basis rows of each input, yet the
+        # evidence must witness against the full family: checked here from
+        # the product classes of the default basis alone
+        F = poly(text, nvars)
+        ev = sos_certify(F)
+        assert isinstance(ev, InfeasibilityEvidence)
+        assert ev.margin > 0
+        caps = tuple(-(-F.degree_in(k + 1) // 2) for k in range(nvars))
+        monos = build_basis(int(F.degree()) // 2, caps).monomials
+        W = np.array(ev.dual_matrix)
+        assert W.shape == (len(monos), len(monos))
+        assert np.linalg.eigvalsh(W)[0] >= -1e-8
+        assert abs(np.trace(W) - 1) <= 1e-8
+        classes = {}
+        for i, mi in enumerate(monos):
+            for j, mj in enumerate(monos):
+                beta = tuple(a + b for a, b in zip(mi, mj))
+                classes.setdefault(beta, []).append(W[i, j])
+        assert max(max(v) - min(v) for v in classes.values()) <= 1e-8
+        value = sum(float(c) * np.mean(classes[beta]) for beta, c in F.terms())
+        assert abs(value + ev.margin) <= 1e-8
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
