@@ -1,13 +1,18 @@
 """Exact rational linear algebra on dense and symmetric-sparse matrices.
 
-Everything here works in Fraction; float never enters. Dense matrices are
-lists of lists, symmetric matrices store one triangle. The PSD test is a
-pivoted LDL^T factorization with complete diagonal pivoting, which is exact
-and doubles as the square-extraction backend for certificates.
+Fraction at the interface, integers inside; float never enters. Dense
+matrices are lists of lists, symmetric matrices store one triangle. The
+PSD test is a pivoted LDL^T factorization with complete diagonal pivoting,
+which is exact and doubles as the square-extraction backend for
+certificates. It runs fraction-free (Bareiss) elimination on the matrix
+times the lcm of its denominators, dividing out common factors as it
+goes; RREF keeps every row a primitive integer vector. Both return the same Fractions as elimination done in
+Fraction (the tests keep that elimination as their reference).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import StructuralError
@@ -117,15 +122,39 @@ class SymMatrix:
 # -- dense elimination --------------------------------------------------------
 
 
+def _fraction(x):
+    """x as an exact rational; ints and Fractions pass through."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries; a zero row stays."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(rows):
     """Reduced row echelon form of a dense Fraction matrix.
 
-    Returns (new_rows, pivot_columns); the input is not modified.
+    Returns (new_rows, pivot_columns); the input is not modified. Each row
+    is cleared of its denominators and kept primitive (its entries coprime
+    integers) through a Gauss–Jordan elimination: a row with entry m in the
+    pivot column, whose pivot is p, becomes (p/g) * row - (m/g) * pivot row,
+    g = gcd(p, m), divided by the gcd of its entries. Rows with a zero
+    there are not touched. Each row stays a nonzero multiple of its
+    rational counterpart, and the RREF is unique, so dividing each pivot
+    row by its pivot at the end gives the rational RREF.
     """
     if not rows:
         return [], []
-    work = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(work[0])
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise StructuralError("rref needs rows of equal length")
+    work = []
+    for row in rows:
+        row = [_fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        work.append(_primitive([x.numerator * (scale // x.denominator) for x in row]))
     pivots = []
     r = 0
     for c in range(ncols):
@@ -133,17 +162,23 @@ def rref(rows):
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        top = work[r]
+        pv = top[c]
+        for i, row in enumerate(work):
+            m = row[c]
+            if i == r or not m:
+                continue
+            g = math.gcd(pv, m)
+            a, b = pv // g, m // g
+            work[i] = _primitive([a * x - b * y for x, y in zip(row, top)])
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return work, pivots
+    zero = Fraction(0)
+    reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(work, pivots)]
+    reduced.extend([zero] * ncols for _ in range(len(work) - r))
+    return reduced, pivots
 
 
 def nullspace(rows, ncols):
@@ -161,10 +196,13 @@ def solve_affine(rows, rhs):
 
     Returns (particular, homogeneous_basis) or None when inconsistent. Both
     are read off one RREF of the augmented system, whose first ncols
-    columns are the RREF of rows.
+    columns are the RREF of rows. Raises StructuralError when rhs and rows
+    differ in length or the rows do.
     """
     if not rows:
         raise StructuralError("solve_affine needs at least one equation row")
+    if len(rhs) != len(rows):
+        raise StructuralError(f"solve_affine got {len(rows)} rows but {len(rhs)} right-hand sides")
     ncols = len(rows[0])
     augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
     reduced, pivots = rref(augmented)
@@ -213,48 +251,136 @@ def sparse_rank(rows):
 # -- exact PSD factorization ---------------------------------------------------
 
 
+def _scaled_matrix(dense):
+    """(U, scale): scale * dense as ints, scale the lcm of the denominators.
+
+    Raises StructuralError unless dense is square and symmetric.
+    """
+    n = len(dense)
+    if any(len(row) != n for row in dense):
+        raise StructuralError("matrix is not square")
+    rows = [[_fraction(x) for x in row] for row in dense]
+    scale = math.lcm(1, *(x.denominator for row in rows for x in row))
+    U = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if U[i][j] != U[j][i]:
+                raise StructuralError(f"matrix is not symmetric at ({i}, {j})")
+    return U, scale
+
+
+def _symmetric_bareiss(U, columns=None, divisors=None):
+    """Fraction-free LDL^T of an integer symmetric matrix, in place.
+
+    Only the upper triangle of U is read and written. Step k replaces the
+    remaining block B by (p_k * B' - b b^T) / prev, with p_k the pivot, b
+    its row and B' the rest of the block: the division by the previous
+    pivot is exact (Bareiss). The new block is then divided by the gcd of
+    its entries; a block so divided starts a fresh chain, whose first step
+    divides by 1. Each block is a positive multiple of the rational Schur
+    complement, so complete diagonal pivoting (largest remaining diagonal
+    entry, first index on ties), the signs and the zero test agree with
+    rational elimination.
+
+    Returns (perm, pivots), or None when U is not PSD. With ``columns`` (one
+    list per row) row i gets b_ik at step k, so that L[i][k] = b_ik / p_k.
+    With ``divisors`` step k appends the whole divisor d_k of its block, so
+    that the Schur complement's scale s_k (block k = Schur complement / s_k)
+    obeys s_{k+1} = s_k * d_k / p_k and D[k] = s_k * p_k.
+    """
+    n = len(U)
+    perm = list(range(n))
+    pivots = []
+    prev = 1
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: U[i][i])
+        pv = U[p][p]
+        if pv < 0:
+            return None
+        if pv == 0:
+            if any(U[i][j] for i in range(k, n) for j in range(i, n)):
+                return None
+            break
+        if p != k:
+            _symmetric_swap(U, k, p)
+            perm[k], perm[p] = perm[p], perm[k]
+            if columns is not None:
+                columns[k], columns[p] = columns[p], columns[k]
+        top = U[k]
+        for i in range(k + 1, n):
+            m = top[i]
+            row = U[i]
+            if m:
+                row[i:] = [(pv * a - m * b) // prev for a, b in zip(row[i:], top[i:])]
+            elif pv != prev:
+                row[i:] = [pv * a // prev for a in row[i:]]
+            if columns is not None:
+                columns[i].append(m)
+        pivots.append(pv)
+        content = math.gcd(*[a for i in range(k + 1, n) for a in U[i][i:]])
+        if divisors is not None:
+            divisors.append(prev * max(content, 1))
+        if content > 1:
+            for i in range(k + 1, n):
+                U[i][i:] = [a // content for a in U[i][i:]]
+            prev = 1
+        else:
+            prev = pv
+    return perm, pivots
+
+
+def _symmetric_swap(U, k, p):
+    """Exchange indices k < p of the block U[k:, k:], upper triangle only."""
+    U[k][k], U[p][p] = U[p][p], U[k][k]
+    for m in range(k + 1, p):
+        U[k][m], U[m][p] = U[m][p], U[k][m]
+    rk, rp = U[k], U[p]
+    rk[p + 1:], rp[p + 1:] = rp[p + 1:], rk[p + 1:]
+
+
 def psd_factor(dense):
     """Pivoted LDL^T of a symmetric Fraction matrix, or None when not PSD.
 
     Returns (perm, L, D) with A[perm[i]][perm[j]] == (L @ diag(D) @ L.T)[i][j],
     L unit lower triangular, D nonnegative. Uses complete diagonal pivoting:
     when the largest remaining diagonal entry is zero, the matrix is PSD
-    exactly when the whole remaining block vanishes.
+    exactly when the whole remaining block vanishes. The elimination runs
+    on the integer matrix lcm * A (see _symmetric_bareiss); L and D are
+    built as Fractions once, at the end. Raises StructuralError unless the
+    matrix is square and symmetric.
     """
-    n = len(dense)
-    A = [[Fraction(x) for x in row] for row in dense]
-    perm = list(range(n))
-    L = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    D = [Fraction(0)] * n
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: A[i][i])
-        if A[p][p] < 0:
-            return None
-        if A[p][p] == 0:
-            for i in range(k, n):
-                for j in range(k, n):
-                    if A[i][j]:
-                        return None
-            break
-        if p != k:
-            A[k], A[p] = A[p], A[k]
-            for row in A:
-                row[k], row[p] = row[p], row[k]
-            perm[k], perm[p] = perm[p], perm[k]
-            for c in range(k):
-                L[k][c], L[p][c] = L[p][c], L[k][c]
-        d = A[k][k]
-        D[k] = d
-        column = [A[i][k] for i in range(k + 1, n)]
-        for offset, i in enumerate(range(k + 1, n)):
-            L[i][k] = column[offset] / d
-        for ii, i in enumerate(range(k + 1, n)):
-            for jj, j in enumerate(range(k + 1, n)):
-                A[i][j] -= column[ii] * column[jj] / d
+    U, scale = _scaled_matrix(dense)
+    n = len(U)
+    columns = [[] for _ in range(n)]
+    divisors = []
+    factored = _symmetric_bareiss(U, columns, divisors)
+    if factored is None:
+        return None
+    perm, pivots = factored
+    zero, one = Fraction(0), Fraction(1)
+    D = [zero] * n
+    s = Fraction(1, scale)
+    for k, (pv, d) in enumerate(zip(pivots, divisors)):
+        D[k] = s * pv
+        s = s * d / pv
+    L = []
+    for i, column in enumerate(columns):
+        row = [Fraction(b, pivots[k]) if b else zero for k, b in enumerate(column)]
+        row.extend(one if j == i else zero for j in range(len(column), n))
+        L.append(row)
     return perm, L, D
 
 
 def is_psd(matrix):
-    """Exact PSD test for a SymMatrix or dense symmetric Fraction matrix."""
-    dense = matrix.to_dense() if isinstance(matrix, SymMatrix) else matrix
-    return psd_factor(dense) is not None
+    """Exact PSD test for a SymMatrix or dense symmetric Fraction matrix.
+
+    Runs the elimination of psd_factor without building L or D.
+    """
+    if isinstance(matrix, SymMatrix):
+        scale = math.lcm(1, *(v.denominator for _, v in matrix.entries()))
+        U = [[0] * matrix.size for _ in range(matrix.size)]
+        for (i, j), v in matrix.entries():
+            U[i][j] = v.numerator * (scale // v.denominator)
+    else:
+        U, _ = _scaled_matrix(matrix)
+    return _symmetric_bareiss(U) is not None

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .exactlinalg import SymMatrix, psd_factor
+from .exactlinalg import SymMatrix, is_psd
 from .gramkernel import defect_completion
 from .polarize import (
     SymmetricPencil,
@@ -158,6 +158,6 @@ def verify_realization(realization):
         and quadratic_form_polynomial(pencil.matrices[1], basis) == squares
     )
 
-    report["axis1_psd"] = psd_factor(pencil.matrices[1].to_dense()) is not None
+    report["axis1_psd"] = is_psd(pencil.matrices[1])
 
     return all(report.values()), report

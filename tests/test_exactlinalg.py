@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import _fraction_reference as reference
+from sospencil.errors import StructuralError
 from sospencil.exactlinalg import (
     SymMatrix,
     is_psd,
@@ -130,3 +133,148 @@ class TestPsdFactor:
         a = [[sum((r[i] * r[j] for r in b), Fraction(0)) for j in range(3)] for i in range(3)]
         assert psd_factor(a) is not None
         assert is_psd(SymMatrix.from_dense(a))
+
+
+# -- integer elimination against the Fraction reference -----------------------------
+
+# Denominators up to 10^6, and a small integer pool whose repeats make
+# pivot ties and exact cancellations likely.
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+small_rationals = st.sampled_from([Fraction(v) for v in (-2, -1, 0, 0, 0, 1, 1, 2)] + [Fraction(1, 2)])
+entries = st.one_of(wide_rationals, small_rationals)
+
+
+@st.composite
+def symmetric_matrices(draw, max_size=6):
+    n = draw(st.integers(0, max_size))
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def psd_matrices(draw, max_size=6):
+    """B^T diag(w) B with w >= 0, rank at most len(B), plus trailing zero
+    rows and columns, then a symmetric permutation."""
+    n = draw(st.integers(0, max_size))
+    rank = draw(st.integers(0, n))
+    B = [[draw(entries) for _ in range(n)] for _ in range(rank)]
+    w = [draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 7)])) for _ in range(rank)]
+    A = [[sum((w[r] * B[r][i] * B[r][j] for r in range(rank)), Fraction(0)) for j in range(n)] for i in range(n)]
+    pad = draw(st.integers(0, 2))
+    A = [row + [Fraction(0)] * pad for row in A] + [[Fraction(0)] * (n + pad) for _ in range(pad)]
+    order = draw(st.permutations(range(n + pad)))
+    return [[A[i][j] for j in order] for i in order]
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """Rows of rationals with zero rows and zero columns spliced in."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for c in sorted(draw(st.lists(st.integers(0, ncols), max_size=2))):
+        rows = [row[:c] + [Fraction(0)] + row[c:] for row in rows]
+    for r in draw(st.lists(st.integers(0, nrows), max_size=2)):
+        rows.insert(r, [Fraction(0)] * len(rows[0]))
+    return rows
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_matrices())
+    def test_psd_factor_general_symmetric(self, a):
+        assert psd_factor(a) == reference.psd_factor(a)
+        assert is_psd(a) == (reference.psd_factor(a) is not None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(psd_matrices())
+    def test_psd_factor_psd(self, a):
+        expected = reference.psd_factor(a)
+        assert expected is not None
+        assert psd_factor(a) == expected
+        assert is_psd(a)
+        assert is_psd(SymMatrix.from_dense(a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_matrices())
+    def test_is_psd_on_sym_matrix(self, a):
+        assert is_psd(SymMatrix.from_dense(a)) == (reference.psd_factor(a) is not None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rectangular_matrices())
+    def test_rref(self, rows):
+        assert rref(rows) == reference.rref(rows)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [],
+            [[Fraction(0)]],
+            [[Fraction(5, 3)]],
+            [[Fraction(-1, 10**6)]],
+            # equal diagonal entries: the first index wins the tie
+            [[Fraction(2), Fraction(1), Fraction(1)], [Fraction(1), Fraction(2), Fraction(1)], [Fraction(1), Fraction(1), Fraction(2)]],
+            [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(1), Fraction(3), Fraction(2)], [Fraction(0), Fraction(2), Fraction(3)]],
+            # positive diagonal, negative pivot after one step
+            [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]],
+            [[Fraction(3), Fraction(1), Fraction(2)], [Fraction(1), Fraction(3), Fraction(-2)], [Fraction(2), Fraction(-2), Fraction(1)]],
+            # a zero block left after elimination, with and without an off-diagonal entry in it
+            [[Fraction(4), Fraction(2), Fraction(0)], [Fraction(2), Fraction(1), Fraction(0)], [Fraction(0), Fraction(0), Fraction(0)]],
+            [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(0)]],
+            # denominators up to 10^6
+            [[Fraction(1, 999983), Fraction(1, 10**6)], [Fraction(1, 10**6), Fraction(7, 999979)]],
+        ],
+    )
+    def test_psd_factor_cases(self, a):
+        expected = reference.psd_factor(a)
+        assert psd_factor(a) == expected
+        assert is_psd(a) == (expected is not None)
+        assert is_psd(SymMatrix.from_dense(a)) == (expected is not None)
+
+    def test_factor_entries_are_fractions(self):
+        perm, L, D = psd_factor([[2, 1], [1, 2]])
+        assert all(type(x) is Fraction for row in L for x in row)
+        assert all(type(x) is Fraction for x in D)
+        assert D == [Fraction(2), Fraction(3, 2)]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]],
+            [[Fraction(0), Fraction(1, 10**6), Fraction(0)], [Fraction(0), Fraction(3), Fraction(0)]],
+            [[Fraction(2), Fraction(4)], [Fraction(0), Fraction(0)], [Fraction(1), Fraction(2)]],
+            [[], []],
+        ],
+    )
+    def test_rref_cases(self, rows):
+        assert rref(rows) == reference.rref(rows)
+
+
+class TestStructuralErrors:
+    def test_non_symmetric_rejected(self):
+        # x^2 + 5xy + y^2 is indefinite; reading one triangle would hide that
+        for a in ([[1, 5], [0, 1]], [[1, 0], [5, 1]]):
+            with pytest.raises(StructuralError):
+                psd_factor(a)
+            with pytest.raises(StructuralError):
+                is_psd(a)
+
+    def test_ragged_or_non_square_rejected(self):
+        for a in ([[1, 0], [0]], [[1, 0]], [[1], [0]]):
+            with pytest.raises(StructuralError):
+                psd_factor(a)
+            with pytest.raises(StructuralError):
+                is_psd(a)
+
+    def test_solve_affine_length_mismatch(self):
+        with pytest.raises(StructuralError):
+            solve_affine([[1, 0], [0, 1], [1, 1]], [1, 2])
+        with pytest.raises(StructuralError):
+            solve_affine([[1, 0]], [1, 2])
+
+    def test_solve_affine_ragged_rows(self):
+        with pytest.raises(StructuralError):
+            solve_affine([[1, 0], [1]], [1, 2])
+
+    def test_rref_ragged_rows(self):
+        with pytest.raises(StructuralError):
+            rref([[1, 2, 3], [4, 5]])
