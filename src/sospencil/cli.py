@@ -31,8 +31,8 @@ from .polycore import RationalFunction, build_basis, wronskian
 from .realize import wronskian_realization
 from .soscert import (
     SosCertificate,
+    _minimize_certified,
     artin_certify,
-    artin_minimize,
     default_artin_candidates,
     sos_certify,
 )
@@ -181,7 +181,8 @@ def _cmd_artin(args):
             factored = [(defaults[0], power)]
         else:
             factored = [(s, 1)]
-        reduced, reduced_cert = artin_minimize(F, factored)
+        # cert already certifies s^2 F for the full factored s
+        reduced, reduced_cert = _minimize_certified(F, factored, cert)
         doc["minimized"] = {
             "factors": [
                 [serialize.polynomial_json(f), mult] for f, mult in reduced

@@ -58,7 +58,7 @@ _IPM_TOL = 1e-10
 _IPM_MAX_ITERS = 100
 _IPM_STALL = 5
 _STEP_FRACTION = 0.98
-_SCHUR_BLOCK = 1 << 20  # Schur-complement gather entries held at once
+_SCHUR_BLOCK = 1 << 20  # entries of the products X F_l Zi held at once
 _HUNT_SLACK = 1e-6
 _ROUND_BOUNDS = (10, 100, 10**4, 10**6)
 _VECTOR_BOUNDS = (10, 100, 10**4)
@@ -276,8 +276,8 @@ class _Family:
 
     F_k = sum over its entries e = (p, q, v) of v (E_pq + E_qp), with p <= q;
     a diagonal entry stores half its matrix value so that one formula covers
-    both cases. A Gram-kernel element has at most two entries, which is what
-    keeps the Newton system cheap.
+    both cases. A direction may have any number of entries, none included:
+    Gram-kernel elements have one or two, the identity direction has N.
     """
 
     def __init__(self, mats, size, identity=None):
@@ -295,59 +295,61 @@ class _Family:
             vals.extend([identity / 2] * size)
         self.size = size
         self.count = len(starts)
-        self.rows = np.array(rows, dtype=np.intp)
-        self.cols = np.array(cols, dtype=np.intp)
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
         self.vals = np.array(vals)
         self.starts = np.array(starts, dtype=np.intp)
-        self.owner = np.repeat(
-            np.arange(self.count), np.diff(np.append(self.starts, len(vals)))
-        )
+        self.ends = np.append(self.starts[1:], len(vals))
+        lengths = self.ends - self.starts
+        self.owner = np.repeat(np.arange(self.count), lengths)
+        # reduceat repeats an element for a zero-length segment, so it only
+        # sees the directions that have entries
+        self.nonempty = np.flatnonzero(lengths)
+        self.heads = self.starts[self.nonempty]
+        # flat indices of (p, q) and (q, p) in an N x N matrix
+        self.pq = rows * size + cols
+        self.qp = cols * size + rows
 
     def inner(self, G):
         """tr(F_k G) for every k (G need not be symmetric)."""
-        if not self.count:
-            return np.zeros(0)
-        p, q = self.rows, self.cols
-        return np.add.reduceat(self.vals * (G[p, q] + G[q, p]), self.starts)
+        G = G.ravel()
+        weights = self.vals * (G[self.pq] + G[self.qp])
+        return np.bincount(self.owner, weights, self.count)
 
     def combine(self, y):
         """sum_k y_k F_k as a dense array."""
-        out = np.zeros((self.size, self.size))
+        cells = self.size * self.size
         weights = self.vals * np.asarray(y, dtype=float)[self.owner]
-        np.add.at(out, (self.rows, self.cols), weights)
-        np.add.at(out, (self.cols, self.rows), weights)
-        return out
+        out = np.bincount(self.pq, weights, cells)
+        out += np.bincount(self.qp, weights, cells)
+        return out.reshape(self.size, self.size)
 
     def schur(self, X, Zi):
-        """M_kl = tr(F_k X F_l Zi), gathered from the entries alone.
+        """M_kl = tr(F_k X F_l Zi), symmetrized.
 
-        For entries (p, q) of F_k and (r, s) of F_l the trace expands to
-        X_qr Zi_ps + X_qs Zi_pr + X_pr Zi_qs + X_ps Zi_qr. Rows are built a
-        block of whole directions at a time to bound the memory in use.
+        For a block of whole directions, the F_l are made dense and
+        G_l = X F_l Zi is formed for all of them by two batched products;
+        column l of M is then read from G_l at the entries of every F_k. A
+        block holds at most _SCHUR_BLOCK entries of G. M is symmetric in
+        exact arithmetic, and (M + M^T) / 2 keeps it so in floating point.
         """
-        p, q, v = self.rows, self.cols, self.vals
-        n = len(v)
-        ends = np.append(self.starts[1:], n)
-        M = np.empty((self.count, self.count))
-        k = 0
-        while k < self.count:
-            e0 = self.starts[k]
-            budget = e0 + _SCHUR_BLOCK // n
-            k_end = max(k + 1, int(np.searchsorted(ends, budget, "right")))
-            e1 = ends[k_end - 1]
-            # gathering whole rows first is much faster than 2-d fancy indexing
-            Xp, Xq, Zp, Zq = X[p[e0:e1]], X[q[e0:e1]], Zi[p[e0:e1]], Zi[q[e0:e1]]
-            T = (
-                Xq[:, p] * Zp[:, q]
-                + Xq[:, q] * Zp[:, p]
-                + Xp[:, p] * Zq[:, q]
-                + Xp[:, q] * Zq[:, p]
-            )
-            T *= v[e0:e1, None] * v
-            T = np.add.reduceat(T, self.starts[k:k_end] - e0, axis=0)
-            M[k:k_end] = np.add.reduceat(T, self.starts, axis=1)
-            k = k_end
-        return M
+        N = self.size
+        cells = N * N
+        step = max(1, _SCHUR_BLOCK // cells)
+        M = np.zeros((self.count, self.count))
+        for l0 in range(0, self.count, step):
+            l1 = min(self.count, l0 + step)
+            e0, e1 = self.starts[l0], self.ends[l1 - 1]
+            owner, v = self.owner[e0:e1] - l0, self.vals[e0:e1]
+            F = np.zeros((l1 - l0, cells))
+            # a direction's entries are distinct cells with p <= q, so no
+            # index repeats within one scatter; a diagonal entry gets both
+            F[owner, self.pq[e0:e1]] += v
+            F[owner, self.qp[e0:e1]] += v
+            G = ((X @ F.reshape(-1, N, N)).reshape(-1, N) @ Zi).reshape(-1, cells).T
+            T = (G[self.pq] + G[self.qp]) * self.vals[:, None]
+            M[self.nonempty, l0:l1] = np.add.reduceat(T, self.heads, axis=0)
+        return 0.5 * (M + M.T)
 
 
 def _inverse_cholesky(P):
@@ -784,37 +786,44 @@ def artin_minimize(F, s_factored):
 
     Returns (reduced factor list, certificate for the reduced denominator).
     """
-    factors = []
+    s_factored = list(s_factored)
     for factor, mult in s_factored:
         if not isinstance(factor, Polynomial) or factor.is_zero():
             raise StructuralError("denominator factors must be nonzero polynomials")
         if not isinstance(mult, int) or mult < 0:
             raise StructuralError("factor multiplicities must be nonnegative ints")
-        factors.append([factor, mult])
-
-    def attempt(fs):
-        s = Polynomial.one(F.nvars)
-        for factor, mult in fs:
-            s = s * factor**mult
-        return sos_certify(s * s * F)
-
-    outcome = attempt(factors)
+    outcome = sos_certify(_denominator_square(F, s_factored))
     if not isinstance(outcome, SosCertificate):
         raise PreconditionError(
             "the supplied factored denominator does not certify F"
         )
+    return _minimize_certified(F, s_factored, outcome)
+
+
+def _denominator_square(F, s_factored):
+    """s^2 F for s the product of the factors to their multiplicities."""
+    s = Polynomial.one(F.nvars)
+    for factor, mult in s_factored:
+        s = s * factor**mult
+    return s * s * F
+
+
+def _minimize_certified(F, s_factored, certificate):
+    """The greedy loop of artin_minimize, started from a certificate of
+    s^2 F for the full factored denominator s."""
+    factors = [list(f) for f in s_factored]
     for idx in range(len(factors)):
         while factors[idx][1] > 0:
             trial = [list(f) for f in factors]
             trial[idx][1] -= 1
-            candidate = attempt(trial)
+            candidate = sos_certify(_denominator_square(F, trial))
             if isinstance(candidate, SosCertificate):
                 factors = trial
-                outcome = candidate
+                certificate = candidate
             else:
                 break
     reduced = [(factor, mult) for factor, mult in factors if mult > 0]
-    return reduced, outcome
+    return reduced, certificate
 
 
 def psd_sample_check(F, grid_spec):

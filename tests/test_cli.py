@@ -1,10 +1,18 @@
 """Command-line interface: exit codes, JSON documents, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sospencil
+from sospencil import serialize
 from sospencil.cli import main
+from sospencil.parsing import parse_polynomial
+from sospencil.soscert import artin_minimize
 
 
 def run(capsys, *argv):
@@ -114,6 +122,35 @@ class TestArtin:
         assert doc["minimized"]["factors"] == [
             ["z1^4 + 2*z1^2*z2^2 + z2^4", 1]
         ]
+
+    @pytest.mark.parametrize(
+        "text, candidates, factor, kept",
+        [
+            ("z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1", (), "z1^2 + z2^2", 1),
+            (
+                "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1",
+                ("--candidates", "(z1^2 + z2^2)^2"),
+                "(z1^2 + z2^2)^2",
+                1,
+            ),
+            # F is SOS itself, so the greedy loop drops the whole denominator
+            ("z1^2 + 1", ("--candidates", "z1^2 + 2"), "z1^2 + 2", 0),
+        ],
+    )
+    def test_minimized_certificate_matches_library(
+        self, capsys, text, candidates, factor, kept
+    ):
+        code, doc = run_json(capsys, "artin", text, *candidates, "--minimize")
+        assert code == 0
+        nvars = 2 if "z2" in text else 1
+        F, s = parse_polynomial(text, nvars=nvars), parse_polynomial(factor, nvars=nvars)
+        reduced, cert = artin_minimize(F, [(s, 1)])
+        expected = json.loads(json.dumps(serialize.certificate_json(cert)))
+        assert doc["minimized"]["certificate"] == expected
+        assert doc["minimized"]["factors"] == [
+            [serialize.polynomial_json(f), mult] for f, mult in reduced
+        ]
+        assert reduced == ([(s, 1)] if kept else [])
 
     def test_failure_exit_one(self, capsys):
         code, doc = run_json(capsys, "artin", "-1", "--candidates", "z1")
@@ -241,6 +278,27 @@ class TestPlumbing:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+    def test_documents_do_not_depend_on_blas_threads(self):
+        src = str(Path(sospencil.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))
+            )
+            outputs[threads] = [
+                subprocess.run(
+                    [sys.executable, "-m", "sospencil", *argv],
+                    capture_output=True, env=env, check=False,
+                ).stdout
+                for argv in (
+                    ("sos", "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1"),
+                    ("artin", "z1^4*z2^2 + z1^2*z2^4 + z3^6 - 3*z1^2*z2^2*z3^2"),
+                )
+            ]
+        assert all(outputs["1"])
+        assert outputs["1"] == outputs["2"]
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

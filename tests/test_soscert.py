@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _helpers import random_square_sum
 from sospencil.errors import (
@@ -231,6 +233,72 @@ class TestInteriorPoint:
         assert np.allclose(fam.schur(X, Zi), schur, rtol=1e-12, atol=1e-12)
         assert np.allclose(fam.inner(G), [np.trace(Fk @ G) for Fk in dense])
         assert np.allclose(fam.combine(y), sum(c * Fk for c, Fk in zip(y, dense)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_family_products_match_dense(self, data):
+        size = data.draw(st.integers(1, 12), label="size")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cells = [(i, j) for i in range(size) for j in range(i, size)]
+        mats = []
+        for _ in range(data.draw(st.integers(0, 40), label="count")):
+            # 0, 1, 2 or many entries, diagonal ones included
+            shape = data.draw(st.sampled_from(("none", "one", "two", "many")))
+            many = int(rng.integers(3, max(3, len(cells)) + 1))
+            entries = {"none": 0, "one": 1, "two": 2}.get(shape, many)
+            chosen = rng.permutation(len(cells))[:entries]
+            S = SymMatrix(size)
+            for c in chosen:
+                value = int(rng.integers(1, 4)) * int(rng.choice((-1, 1)))
+                S.set(*cells[c], Fraction(value, int(rng.choice((1, 2)))))
+            mats.append(S)
+        identity = data.draw(st.sampled_from((None, -1.0, 1.0)), label="identity")
+        block = data.draw(st.sampled_from(
+            (1, size * size, 3 * size * size, soscert._SCHUR_BLOCK)
+        ), label="block")
+
+        dense = [soscert._to_array(S, size) for S in mats]
+        if identity is not None:
+            dense.append(identity * np.eye(size))
+        dense = np.array(dense).reshape(-1, size, size)
+        B, C = rng.uniform(-1, 1, (2, size, size))
+        X, Zi = B @ B.T + np.eye(size), C @ C.T + np.eye(size)
+        G = rng.uniform(-1, 1, (size, size))
+        y = rng.uniform(-1, 1, len(dense))
+
+        fam = soscert._Family(mats, size, identity=identity)
+        with mock.patch.object(soscert, "_SCHUR_BLOCK", block):
+            schur = fam.schur(X, Zi)
+        inner, combined = fam.inner(G), fam.combine(y)
+
+        def close(actual, expected):
+            scale = 1.0 + np.abs(expected).max(initial=0.0)
+            return np.allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+        # tr(F_k X F_l Zi), tr(F_k G) and sum_k y_k F_k from dense matrices
+        assert close(schur, np.einsum("kij,lji->kl", dense @ X, dense @ Zi))
+        assert close(inner, np.einsum("kij,ji->k", dense, G))
+        assert close(combined, np.einsum("k,kij->ij", y, dense))
+        # a direction with no entries contributes exactly nothing
+        for k, S in enumerate(mats):
+            if S.is_zero():
+                assert inner[k] == 0.0
+                assert not schur[k].any() and not schur[:, k].any()
+
+    def test_empty_direction_is_zero(self):
+        S = SymMatrix(3)
+        S.set(0, 1, Fraction(2))
+        S.set(2, 2, Fraction(3))
+        G = np.arange(9.0).reshape(3, 3)
+        for mats in ([SymMatrix(3), S], [S, SymMatrix(3)]):
+            empty = 0 if mats[0].is_zero() else 1
+            fam = soscert._Family(mats, 3, identity=-1.0)
+            assert fam.inner(G)[empty] == 0.0
+            M = fam.schur(2 * np.eye(3), np.eye(3))
+            assert not M[empty].any() and not M[:, empty].any()
+            y = np.zeros(3)
+            y[empty] = 5.0
+            assert not fam.combine(y).any()
 
     def test_max_min_eig_without_kernel(self):
         A0 = SymMatrix(2)
