@@ -1,13 +1,16 @@
 """Exact rational linear algebra on dense and symmetric-sparse matrices.
 
 Fraction at the interface, integers inside; float never enters. Dense
-matrices are lists of lists, symmetric matrices store one triangle. The
-PSD test is a pivoted LDL^T factorization with complete diagonal pivoting,
-which is exact and doubles as the square-extraction backend for
-certificates. It runs fraction-free (Bareiss) elimination on the matrix
-times the lcm of its denominators, dividing out common factors as it
-goes; RREF keeps every row a primitive integer vector. Both return the same Fractions as elimination done in
-Fraction (the tests keep that elimination as their reference).
+matrices are lists of lists, sparse rows are dicts {column: value}, and
+symmetric matrices store one triangle. The PSD test is a pivoted LDL^T
+factorization with complete diagonal pivoting, which is exact and doubles
+as the square-extraction backend for certificates. It runs fraction-free
+(Bareiss) elimination on the matrix times the lcm of its denominators,
+dividing out common factors as it goes. Every other elimination (rref,
+solve_affine, solve_sparse, nullspace, sparse_rank) is one Gauss-Jordan
+elimination on sparse integer rows, each kept primitive (_sparse_rref).
+Both return the same Fractions as elimination done in Fraction (the tests
+keep that elimination as their reference).
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class SymMatrix:
         return f"SymMatrix({self.size}, nnz={len(self._entries)})"
 
 
-# -- dense elimination --------------------------------------------------------
+# -- elimination ---------------------------------------------------------------
 
 
 def _fraction(x):
@@ -128,57 +131,88 @@ def _fraction(x):
 
 
 def _primitive(row):
-    """The integer row divided by the gcd of its entries; a zero row stays."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    """The sparse integer row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _integer_row(row):
+    """A rational row {column: value} as a primitive {column: int}, zeros dropped."""
+    row = {c: _fraction(x) for c, x in row.items() if x}
+    scale = math.lcm(1, *(x.denominator for x in row.values()))
+    return _primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
+
+
+def _clear(row, top, c):
+    """row with column c cleared by the pivot row top, kept primitive.
+
+    With p = top[c], m = row[c] and g = gcd(p, m) the result is
+    (p/g) * row - (m/g) * top divided by the gcd of its entries.
+    """
+    p, m = top[c], row[c]
+    g = math.gcd(p, m)
+    a, b = p // g, m // g
+    out = {k: a * x for k, x in row.items()}
+    for k, y in top.items():
+        x = out.get(k, 0) - b * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return _primitive(out)
+
+
+def _sparse_rref(rows):
+    """RREF of sparse integer rows, each pivot row up to a nonzero scale.
+
+    Returns {pivot column: primitive row}. The rows are taken one at a
+    time. A row is cleared at every pivot column it has; the pivot rows
+    vanish at one another's pivot columns, so this brings in no other pivot
+    column. What is left, if anything, becomes a pivot row at its lowest
+    column, and that column is cleared from the earlier pivot rows. Each
+    pivot row's lowest column thus stays its pivot, and the rows span the
+    input's row space, so they are its RREF up to scale: dividing each by
+    its pivot gives the rational RREF, which is unique.
+    """
+    pivots = {}
+    for row in rows:
+        for c in [c for c in row if c in pivots]:
+            row = _clear(row, pivots[c], c)
+        if not row:
+            continue
+        c = min(row)
+        for k, top in pivots.items():
+            if c in top:
+                pivots[k] = _clear(top, row, c)
+        pivots[c] = row
+    return pivots
 
 
 def rref(rows):
     """Reduced row echelon form of a dense Fraction matrix.
 
-    Returns (new_rows, pivot_columns); the input is not modified. Each row
-    is cleared of its denominators and kept primitive (its entries coprime
-    integers) through a Gauss–Jordan elimination: a row with entry m in the
-    pivot column, whose pivot is p, becomes (p/g) * row - (m/g) * pivot row,
-    g = gcd(p, m), divided by the gcd of its entries. Rows with a zero
-    there are not touched. Each row stays a nonzero multiple of its
-    rational counterpart, and the RREF is unique, so dividing each pivot
-    row by its pivot at the end gives the rational RREF.
+    Returns (new_rows, pivot_columns); the input is not modified. The
+    elimination runs on sparse primitive integer rows (see _sparse_rref);
+    each pivot row is divided by its pivot once, at the end, and the zero
+    rows follow the pivot rows.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise StructuralError("rref needs rows of equal length")
-    work = []
-    for row in rows:
-        row = [_fraction(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in row))
-        work.append(_primitive([x.numerator * (scale // x.denominator) for x in row]))
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        pv = top[c]
-        for i, row in enumerate(work):
-            m = row[c]
-            if i == r or not m:
-                continue
-            g = math.gcd(pv, m)
-            a, b = pv // g, m // g
-            work[i] = _primitive([a * x - b * y for x, y in zip(row, top)])
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
+    reduced = _sparse_rref([_integer_row(dict(enumerate(row))) for row in rows])
+    pivots = sorted(reduced)
     zero = Fraction(0)
-    reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(work, pivots)]
-    reduced.extend([zero] * ncols for _ in range(len(work) - r))
-    return reduced, pivots
+    out = []
+    for c in pivots:
+        row = reduced[c]
+        dense = [zero] * ncols
+        for k, x in row.items():
+            dense[k] = Fraction(x, row[c])
+        out.append(dense)
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, pivots
 
 
 def nullspace(rows, ncols):
@@ -192,60 +226,57 @@ def nullspace(rows, ncols):
 
 
 def solve_affine(rows, rhs):
-    """All solutions of rows @ x = rhs.
+    """All solutions of rows @ x = rhs for a dense matrix.
 
-    Returns (particular, homogeneous_basis) or None when inconsistent. Both
-    are read off one RREF of the augmented system, whose first ncols
-    columns are the RREF of rows. Raises StructuralError when rhs and rows
-    differ in length or the rows do.
+    Returns (particular, homogeneous_basis) or None when inconsistent, as
+    solve_sparse does. Raises StructuralError when rhs and rows differ in
+    length or the rows do.
     """
     if not rows:
         raise StructuralError("solve_affine needs at least one equation row")
     if len(rhs) != len(rows):
         raise StructuralError(f"solve_affine got {len(rows)} rows but {len(rhs)} right-hand sides")
     ncols = len(rows[0])
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
+    if any(len(row) != ncols for row in rows):
+        raise StructuralError("solve_affine needs rows of equal length")
+    return solve_sparse([dict(enumerate(row)) for row in rows], rhs, ncols)
+
+
+def solve_sparse(rows, rhs, ncols):
+    """All solutions x (of length ncols) of rows @ x = rhs, rows sparse.
+
+    Each row is a dict {column: rational}, columns below ncols. Returns
+    (particular, homogeneous_basis) as dense Fraction vectors, read off one
+    RREF of the augmented system (the right-hand side is column ncols):
+    the particular solution is zero at the free columns, and the basis has
+    one vector per free column, in increasing order, equal to 1 there and
+    0 at the other free columns. Returns None when the system is
+    inconsistent.
+    """
+    reduced = _sparse_rref([_integer_row({**row, ncols: b}) for row, b in zip(rows, rhs)])
+    if ncols in reduced:
         return None
-    particular = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        particular[c] = reduced[r][ncols]
-    pivot_set = set(pivots)
-    basis = []
+    zero = Fraction(0)
+    particular = [zero] * ncols
+    for c, row in reduced.items():
+        if ncols in row:
+            particular[c] = Fraction(row[ncols], row[c])
+    basis = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][free]
-        basis.append(vec)
-    return particular, basis
+        if free not in reduced:
+            basis[free] = [zero] * ncols
+            basis[free][free] = Fraction(1)
+    for c, row in reduced.items():
+        # a pivot row vanishes at the other pivot columns
+        for k, x in row.items():
+            if k != c and k != ncols:
+                basis[k][c] = Fraction(-x, row[c])
+    return particular, list(basis.values())
 
 
 def sparse_rank(rows):
-    """Rank of a matrix given as sparse rows (dicts column -> Fraction)."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        current = {c: Fraction(v) for c, v in row.items() if v}
-        while current:
-            lead = min(current)
-            if lead not in pivots:
-                inv = 1 / current[lead]
-                pivots[lead] = {c: v * inv for c, v in current.items()}
-                rank += 1
-                break
-            factor = current[lead]
-            for c, v in pivots[lead].items():
-                value = current.get(c, Fraction(0)) - factor * v
-                if value:
-                    current[c] = value
-                else:
-                    current.pop(c, None)
-        # a row that reduces to nothing contributes no rank
-    return rank
+    """Rank of a matrix given as sparse rows (dicts column -> rational)."""
+    return len(_sparse_rref([_integer_row(row) for row in rows]))
 
 
 # -- exact PSD factorization ---------------------------------------------------

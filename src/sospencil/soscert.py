@@ -11,12 +11,14 @@ corresponding diagonal entry to zero are eliminated iteratively (a zero
 diagonal in a PSD matrix forces its whole row to vanish). This keeps the
 search family small and removes the worst rank degeneracies; when a diagonal
 is pinned to a negative value the elimination already yields an exact dual
-witness of infeasibility. When the numeric search still lands on a singular
-face that neither rounding nor the vertex hunt resolves, one step of partial
-facial reduction (Permenter-Parrilo, Math. Prog. 171, 2018) follows: the
-near-kernel vectors v of the numeric optimum are rationalized, A(lam) v = 0
-is imposed exactly, and the search is solved and rounded once more on that
-face.
+witness of infeasibility. When the numeric optimum lands on a singular face
+that rounding does not resolve, one step of partial facial reduction
+(Permenter-Parrilo, Math. Prog. 171, 2018) follows: the near-kernel vectors
+v of the numeric optimum are rationalized, A(lam) v = 0 is imposed exactly
+as a sparse integer system, and the search is solved and rounded once more
+on that face. Only when that finds nothing does the vertex hunt run: it
+rounds extreme points of the PSD slice, which also reaches faces that have
+no rational description.
 
 All numeric solves go through one deterministic numpy primal-dual interior
 point method (_ipm). Infeasibility is reported as numeric dual evidence (a
@@ -41,7 +43,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .exactlinalg import SymMatrix, is_psd, psd_factor, rref, solve_affine
+from .exactlinalg import SymMatrix, is_psd, psd_factor, rref, solve_sparse
 from .gramkernel import kernel_basis
 from .polarize import quadratic_form_polynomial
 from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
@@ -486,12 +488,14 @@ def _round_lam(A0, kernel_mats, lam_floats):
 def _vertex_hunt(A0, kernel_mats, size, t):
     """Round minimizers of weighted-trace objectives over the PSD slice.
 
-    When the max-min-eig optimum sits on a face whose common kernel is
-    irrational, linear objectives still pick out extreme points, and those
-    are often exactly the rational low-rank Gram matrices we are after. The
-    slice is relaxed to A(lam) >= -delta I with delta = max(0, -t) +
-    _HUNT_SLACK so that it has an interior even when the Gram family
-    touches the PSD cone only on a face. Returns the rounded lam or None.
+    The fallback after _face_step. When the max-min-eig optimum sits on a
+    face whose common kernel is irrational, the face step has no rational
+    vectors to impose, but linear objectives still pick out extreme points,
+    and those are often exactly the rational low-rank Gram matrices we are
+    after. The slice is relaxed to A(lam) >= -delta I with delta =
+    max(0, -t) + _HUNT_SLACK so that it has an interior even when the Gram
+    family touches the PSD cone only on a face. Returns the rounded lam or
+    None.
     """
     if not kernel_mats:
         return None
@@ -544,13 +548,39 @@ def _float_rref(rows, tol=1e-7):
     return M
 
 
-def _matvec(sym, vec):
-    out = [Fraction(0)] * sym.size
-    for (i, j), value in sym.entries():
-        out[i] += value * vec[j]
-        if i != j:
-            out[j] += value * vec[i]
-    return out
+def _face_system(A0, kernel_mats, vectors):
+    """A(lam) v = 0 for every v, as sparse rows over lam with right-hand sides.
+
+    Each v is scaled to integers first; the equations are homogeneous in v.
+    Row r of v holds (S_i v)_r in column i and -(A0 v)_r as its right-hand
+    side. The rows are built from the entries of the directions and of A0
+    (column K = len(kernel_mats) while building), so a direction's few
+    entries reach only the rows they touch. Integral entries are taken as
+    ints, which makes the columns of star-kernel directions integer.
+    """
+    K = len(kernel_mats)
+    entries = [
+        (p, q, col, value.numerator if value.denominator == 1 else value)
+        for col, S in enumerate([*kernel_mats, A0])
+        for (p, q), value in S.entries()
+    ]
+    rows, rhs = [], []
+    for vec in vectors:
+        scale = math.lcm(*(x.denominator for x in vec))
+        v = [x.numerator * (scale // x.denominator) for x in vec]
+        by_row = {}
+        for p, q, col, value in entries:
+            if v[q]:
+                row = by_row.setdefault(p, {})
+                row[col] = row.get(col, 0) + value * v[q]
+            if p != q and v[p]:
+                row = by_row.setdefault(q, {})
+                row[col] = row.get(col, 0) + value * v[p]
+        for r in sorted(by_row):
+            row = by_row[r]
+            rhs.append(-row.pop(K, 0))
+            rows.append(row)
+    return rows, rhs
 
 
 def _restrict(sym, keep):
@@ -566,12 +596,18 @@ def _restrict(sym, keep):
 def _face_step(A0, kernel_mats, size, lam_floats):
     """One step of partial facial reduction at a near-singular optimum.
 
-    The near-kernel vectors of A(lam_floats) are rationalized with growing
-    denominator bounds. For each bound, A(lam) v = 0 is imposed exactly for
-    every rational v, the max-min-eig problem is solved on that face,
-    restricted to the coordinates outside the pivots of the v (a symmetric
-    matrix annihilating the v is PSD exactly when that restriction is), and
-    its optimum is rounded. Returns an exact PSD Gram matrix or None.
+    Runs right after rounding the max-min-eig optimum fails; the vertex
+    hunt is the fallback when this returns None. The near-kernel vectors of
+    A(lam_floats) are rationalized with growing denominator bounds. For
+    each bound, A(lam) v = 0 is imposed exactly for every rational v (a
+    sparse integer system, see _face_system), the max-min-eig problem is
+    solved on that face, restricted to the coordinates outside the pivots
+    of the v (a symmetric matrix annihilating the v is PSD exactly when
+    that restriction is), and its optimum is rounded. That optimum is
+    positive definite on the restriction whenever the face allows, so the
+    certificate tends to have the face's full rank, where the vertex hunt
+    would find an extreme point of lower rank. Returns an exact PSD Gram
+    matrix or None.
     """
     A = _to_array(A0, size) + _Family(kernel_mats, size).combine(lam_floats)
     eigvals, eigvecs = np.linalg.eigh(A)
@@ -583,16 +619,8 @@ def _face_step(A0, kernel_mats, size, lam_floats):
         vectors = [
             [Fraction(x).limit_denominator(bound) for x in row] for row in reduced
         ]
-        rows, rhs = [], []
-        for vec in vectors:
-            A0v = _matvec(A0, vec)
-            Sv = [_matvec(S, vec) for S in kernel_mats]
-            for r in range(size):
-                row = [v[r] for v in Sv]
-                if any(row) or A0v[r]:
-                    rows.append(row)
-                    rhs.append(-A0v[r])
-        solution = solve_affine(rows, rhs) if rows else None
+        rows, rhs = _face_system(A0, kernel_mats, vectors)
+        solution = solve_sparse(rows, rhs, len(kernel_mats)) if rows else None
         if solution is None:
             continue
         lam_p, H = solution
@@ -728,12 +756,14 @@ def sos_certify(F, basis=None):
             # report evidence against the full requested family
             return _full_family_evidence(F, basis, classes)
         lam = _round_lam(A0, kernel_mats, solve.lam)
-        if lam is None:
-            lam = _vertex_hunt(A0, kernel_mats, len(monos), solve.t)
         if lam is not None:
             gram = _affine_point(A0, kernel_mats, lam)
         else:
             gram = _face_step(A0, kernel_mats, len(monos), solve.lam)
+        if gram is None:
+            lam = _vertex_hunt(A0, kernel_mats, len(monos), solve.t)
+            if lam is not None:
+                gram = _affine_point(A0, kernel_mats, lam)
         if gram is None:
             # a near-feasible optimum is no evidence of infeasibility
             return InfeasibilityEvidence(

@@ -1,9 +1,10 @@
 """Elimination done step by step in Fraction, kept as the tests' reference.
 
-These are the textbook rational algorithms: Gauss–Jordan RREF and pivoted
-LDL^T with complete diagonal pivoting (largest diagonal entry, first index
-on ties). ``sospencil.exactlinalg`` computes the same results by
-fraction-free integer elimination; the tests require exact equality.
+These are the textbook rational algorithms: Gauss–Jordan RREF, the affine
+solver read off it, and pivoted LDL^T with complete diagonal pivoting
+(largest diagonal entry, first index on ties). ``sospencil.exactlinalg``
+computes the same results by fraction-free integer elimination; the tests
+require exact equality.
 """
 
 from fractions import Fraction
@@ -33,6 +34,32 @@ def rref(rows):
         if r == len(work):
             break
     return work, pivots
+
+
+def solve_affine(rows, rhs):
+    """(particular, homogeneous_basis) of rows @ x = rhs, or None.
+
+    Read off the RREF of the augmented matrix: the particular solution is
+    zero at the free columns, and the basis has one vector per free column,
+    in increasing order.
+    """
+    ncols = len(rows[0])
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    particular = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = reduced[r][ncols]
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][free]
+        basis.append(vec)
+    return particular, basis
 
 
 def psd_factor(dense):

@@ -1,7 +1,9 @@
 """Rational linear algebra: elimination, nullspaces, pivoted LDL^T."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from sospencil.exactlinalg import (
     psd_factor,
     rref,
     solve_affine,
+    solve_sparse,
     sparse_rank,
 )
 
@@ -278,3 +281,100 @@ class TestStructuralErrors:
     def test_rref_ragged_rows(self):
         with pytest.raises(StructuralError):
             rref([[1, 2, 3], [4, 5]])
+
+
+# -- sparse systems against the Fraction reference ----------------------------------
+
+def sparse_entry(rng):
+    """A nonzero rational: a small value, or one with a denominator up to 10^6."""
+    if rng.random() < 0.5:
+        return Fraction(rng.choice((-2, -1, 1, 1, 2, 3)), rng.choice((1, 1, 2)))
+    return Fraction(rng.randint(1, 50 * 10**6) * rng.choice((-1, 1)), rng.randint(1, 10**6))
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, rhs, kind): a dense-stored system at 1-10% density.
+
+    Scaled copies of rows (with their right-hand sides scaled alike) and
+    zero rows are spliced in, and the rows are shuffled. The right-hand
+    side is rows @ x ("consistent"), arbitrary ("arbitrary"), or the system
+    gains a copy of a row or a zero row whose right-hand side disagrees
+    ("inconsistent"). The entries come from a Random that hypothesis seeds.
+    """
+    nrows, ncols = draw(st.integers(2, 30)), draw(st.integers(2, 30))
+    density = draw(st.floats(0.01, 0.10))
+    kind = draw(st.sampled_from(["consistent", "arbitrary", "inconsistent"]))
+    copies, zeros = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for _ in range(max(1, round(density * nrows * ncols))):
+        rows[rng.randrange(nrows)][rng.randrange(ncols)] = sparse_entry(rng)
+    x = [rng.choice((Fraction(0), Fraction(1), Fraction(-3, 2))) for _ in range(ncols)]
+    rhs = mat_vec(rows, x)
+    for _ in range(copies):
+        i, k = rng.randrange(len(rows)), sparse_entry(rng)
+        rows.append([k * v for v in rows[i]])
+        rhs.append(k * rhs[i])
+    for _ in range(zeros):
+        rows.append([Fraction(0)] * ncols)
+        rhs.append(Fraction(0))
+    if kind == "arbitrary":
+        rhs = [sparse_entry(rng) if rng.random() < 0.5 else Fraction(0) for _ in rows]
+    elif kind == "inconsistent":
+        i = rng.randrange(-1, len(rows))
+        copied = rows[i] if i >= 0 else [Fraction(0)] * ncols
+        rows.append(list(copied))
+        rhs.append((rhs[i] if i >= 0 else 0) + sparse_entry(rng))
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return [rows[i] for i in order], [rhs[i] for i in order], kind
+
+
+def sparse_rows(rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+FACE_SYSTEMS = json.loads((Path(__file__).parent / "data" / "face_systems.json").read_text())
+
+
+class TestSparseAgainstFractionReference:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_systems())
+    def test_rref(self, system):
+        rows, _rhs, _kind = system
+        assert rref(rows) == reference.rref(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_systems())
+    def test_solve_affine(self, system):
+        rows, rhs, kind = system
+        expected = reference.solve_affine(rows, rhs)
+        if kind == "consistent":
+            assert expected is not None
+        elif kind == "inconsistent":
+            assert expected is None
+        assert solve_affine(rows, rhs) == expected
+        assert solve_sparse(sparse_rows(rows), rhs, len(rows[0])) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_systems())
+    def test_sparse_rank(self, system):
+        rows, _rhs, _kind = system
+        assert sparse_rank(sparse_rows(rows)) == len(reference.rref(rows)[1])
+
+    @pytest.mark.parametrize("name", sorted(FACE_SYSTEMS))
+    def test_captured_face_system(self, name):
+        # A(lam) v = 0 as the face step builds it for s^2 F, s the sum of
+        # the squared variables: the ternary Motzkin form gives 60 x 72,
+        # Robinson's form 180 x 115
+        system = FACE_SYSTEMS[name]
+        ncols = system["ncols"]
+        sparse = [{c: Fraction(v) for c, v in row} for row in system["rows"]]
+        rhs = [Fraction(b) for b in system["rhs"]]
+        rows = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in sparse]
+        expected = reference.solve_affine(rows, rhs)
+        assert expected is not None
+        assert solve_affine(rows, rhs) == expected
+        assert solve_sparse(sparse, rhs, ncols) == expected
+        assert rref(rows) == reference.rref(rows)

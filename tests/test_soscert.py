@@ -31,6 +31,8 @@ from sospencil.soscert import (
 
 MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1"
 CHOI_LAM = "z1^4*z2^2 + z2^4 + z1^2 - 3*z1^2*z2^2"
+TERNARY_MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 + z3^6 - 3*z1^2*z2^2*z3^2"
+CHOI_LAM_TERNARY = "z1^4*z2^2 + z2^4*z3^2 + z3^4*z1^2 - 3*z1^2*z2^2*z3^2"
 
 
 def poly(text, nvars=None):
@@ -136,6 +138,37 @@ class TestCertifySuccess:
         # vertex hunt reaches. Acceptance criterion 5 sample #42
         F = poly("(-4/3*z1^2 + 4*z1*z2 - 9/2*z2)^2 + (-5*z1*z2 + 7/2)^2")
         assert_certifies(F, sos_certify(F))
+
+
+class TestStageOrder:
+    """After a failed rounding the face step runs; the vertex hunt is its fallback."""
+
+    @pytest.mark.parametrize("text", [TERNARY_MOTZKIN, CHOI_LAM_TERNARY, MOTZKIN])
+    def test_face_step_certifies_without_the_hunt(self, text, monkeypatch):
+        def no_hunt(*args):
+            raise AssertionError("the vertex hunt ran")
+
+        monkeypatch.setattr(soscert, "_vertex_hunt", no_hunt)
+        F = poly(text)
+        s = default_artin_candidates(F.nvars)[0]  # the sum of the squared variables
+        assert_certifies(s * s * F, sos_certify(s * s * F))
+
+    def test_vertex_hunt_is_the_fallback(self, monkeypatch):
+        # criterion-5 sample #42 (test_face_case_with_irrational_kernel):
+        # its face has no rational description, so the face step finds no
+        # certificate and the hunt does
+        calls = []
+        for name in ("_face_step", "_vertex_hunt"):
+
+            def spy(*args, _name=name, _stage=getattr(soscert, name)):
+                result = _stage(*args)
+                calls.append((_name, result is not None))
+                return result
+
+            monkeypatch.setattr(soscert, name, spy)
+        F = poly("(-4/3*z1^2 + 4*z1*z2 - 9/2*z2)^2 + (-5*z1*z2 + 7/2)^2")
+        assert_certifies(F, sos_certify(F))
+        assert calls == [("_face_step", False), ("_vertex_hunt", True)]
 
 
 class TestCertifyFailure:
