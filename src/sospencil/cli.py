@@ -357,45 +357,38 @@ def build_parser():
     return parser
 
 
-_FLAG_OPTIONS = {"--minimize", "-h", "--help"}
-_VALUED_OPTIONS = {
-    "--output",
-    "--candidates",
-    "--xhat-values",
-    "--z1-real",
-    "--z1-imag",
-    "--n",
-    "--caps",
-}
+_PARSER = build_parser()
+_COMMANDS = next(
+    action.choices
+    for action in _PARSER._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
 
 
 def _reorder(argv):
     """Move options ahead of positionals so polynomials may start with '-'.
 
-    Every valued option is rewritten to --name=value form; everything else
-    after the subcommand is treated as a positional and placed behind a
-    '--' separator.
+    The subcommand's own parser says which tokens are options and which of
+    them take a value. Every valued option is rewritten to --name=value
+    form; everything else after the subcommand is treated as a positional
+    and placed behind a '--' separator.
     """
-    if not argv or argv[0].startswith("-"):
+    if not argv or argv[0] not in _COMMANDS:
         return list(argv)
     head, rest = argv[0], list(argv[1:])
+    actions = _COMMANDS[head]._option_string_actions
     options, positionals = [], []
     i = 0
     while i < len(rest):
         token = rest[i]
         name = token.split("=", 1)[0]
-        if name in _FLAG_OPTIONS:
-            options.append(token)
-        elif name in _VALUED_OPTIONS:
-            if "=" in token:
-                options.append(token)
-            elif i + 1 < len(rest):
-                options.append(f"{name}={rest[i + 1]}")
-                i += 1
-            else:
-                options.append(token)
-        else:
+        if name not in actions:
             positionals.append(token)
+        elif actions[name].nargs == 0 or "=" in token or i + 1 == len(rest):
+            options.append(token)
+        else:
+            options.append(f"{name}={rest[i + 1]}")
+            i += 1
         i += 1
     if not positionals:
         return [head] + options
@@ -405,8 +398,7 @@ def _reorder(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_reorder(list(argv)))
+    args = _PARSER.parse_args(_reorder(list(argv)))
     try:
         return args.func(args)
     except SospencilError as exc:

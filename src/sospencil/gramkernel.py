@@ -8,13 +8,10 @@ basis so that the auxiliary variable provides the connecting moves) and
 extends a single annihilating matrix to a full pencil (S_0, S_1, ..., S_d)
 with (S_0 + z_1 S_1 + ... + z_d S_d) Psi(z)^T identically zero.
 
-The completion construction is sound but not complete: it fails honestly
-(with an internal-consistency error) when the defect assigns nonzero weight
-to a kernel element whose transformation moves exponent into or out of the
-completion axis itself, a configuration where no per-element block
-completion exists. Spanning trees therefore prefer axis-avoiding edges;
-whether nonzero weight lands on an axis-coupled bridge is independent of
-the tree choice.
+The completion construction is sound but not complete. It completes a defect
+over a spanning forest of the moves that avoid the completion axis, the only
+moves with a per-element block completion, and fails honestly (with a
+precondition error) when the defect lies outside that forest's span.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .exactlinalg import SymMatrix, solve_affine, sparse_rank
+from .exactlinalg import SymMatrix, solve_sparse, sparse_rank
 from .polarize import SymmetricPencil, pencil_row_action, quadratic_form_polynomial
 from .polycore import MonomialBasis, basis_key, build_basis
 
@@ -112,11 +109,13 @@ def _shift(exps, inc, dec):
 
 
 def _spanning_elements(basis, avoid_axis=None):
-    """Kernel basis via per-class spanning trees on the homogenized basis.
+    """Kernel elements of per-class spanning forests on the homogenized basis.
 
+    Without ``avoid_axis`` every product class is transformation-connected,
+    so the forest is one spanning tree per class: a basis of the kernel.
     With ``avoid_axis`` set (1-based variable position in the homogenized
-    order), edges whose move touches that variable are used only as bridges
-    between components of the axis-avoiding subgraph.
+    order), moves touching that variable are skipped, and the result is a
+    spanning forest of the axis-avoiding moves.
     """
     d = basis.nvars
     n = basis.total_cap
@@ -139,7 +138,7 @@ def _spanning_elements(basis, avoid_axis=None):
                 if u[l - 1] == 0:
                     continue
                 for r in range(1, nhom + 1):
-                    if r == l:
+                    if r == l or avoid_axis in (r, l):
                         continue
                     u2 = _shift(u, r, l)
                     other2 = _shift(other, l, r)
@@ -153,60 +152,35 @@ def _spanning_elements(basis, avoid_axis=None):
                     neighbor = tuple(sorted((hom_index[u2], hom_index[other2])))
                     if neighbor == pair:
                         continue
-                    bad = avoid_axis is not None and avoid_axis in (r, l)
-                    yield neighbor, u_idx, (r, l), bad
+                    yield neighbor, u_idx, (r, l)
 
     elements = []
     for prod in sorted(classes, key=basis_key):
         pairs = sorted(classes[prod])
         if len(pairs) < 2:
             continue
-        edges = []
-        component = {}
-        for root in pairs:  # axis-avoiding spanning forest, BFS per component
-            if root in component:
+        beta = prod[:d]
+        reached = set()
+        components = 0
+        for root in pairs:  # spanning forest, BFS per component
+            if root in reached:
                 continue
-            component[root] = root
+            components += 1
+            reached.add(root)
             queue = deque([root])
             while queue:
                 node = queue.popleft()
-                for neighbor, u_idx, move, bad in transforms(node):
-                    if bad or neighbor in component:
+                for neighbor, u_idx, move in transforms(node):
+                    if neighbor in reached:
                         continue
-                    component[neighbor] = root
-                    edges.append((node, neighbor, u_idx, move))
+                    reached.add(neighbor)
+                    elements.append(
+                        _edge_element(node, neighbor, u_idx, move, beta, hom, basis)
+                    )
                     queue.append(neighbor)
-        roots = {component[p] for p in pairs}
-        if len(roots) > 1:
-            if avoid_axis is None:
-                raise InternalConsistencyError(
-                    f"product class {prod} is not transformation-connected"
-                )
-            leader = {r: r for r in roots}
-
-            def find(r):
-                while leader[r] != r:
-                    leader[r] = leader[leader[r]]
-                    r = leader[r]
-                return r
-
-            for node in pairs:  # bridge components with axis-coupled edges
-                for neighbor, u_idx, move, bad in transforms(node):
-                    if not bad:
-                        continue
-                    a, b = find(component[node]), find(component[neighbor])
-                    if a != b:
-                        leader[b] = a
-                        edges.append((node, neighbor, u_idx, move))
-            if len({find(r) for r in roots}) > 1:
-                raise InternalConsistencyError(
-                    f"product class {prod} is not transformation-connected"
-                )
-
-        beta = prod[:d]
-        for parent, child, u_idx, move in edges:
-            elements.append(
-                _edge_element(parent, child, u_idx, move, beta, hom, basis)
+        if components > 1 and avoid_axis is None:
+            raise InternalConsistencyError(
+                f"product class {prod} is not transformation-connected"
             )
     return elements
 
@@ -303,15 +277,16 @@ def _decompose_over_elements(S, elements, basis):
                     f"weight outside the kernel span at product {beta}"
                 )
             continue
-        pairs = sorted(
-            {p for idx in indices for p, _ in elements[idx].matrix.entries()}
-            | set(target)
+        rows = {pair: {} for pair in target}
+        for col, idx in enumerate(indices):
+            for pair, value in elements[idx].matrix.entries():
+                rows.setdefault(pair, {})[col] = value
+        pairs = sorted(rows)
+        solution = solve_sparse(
+            [rows[pair] for pair in pairs],
+            [target.get(pair, Fraction(0)) for pair in pairs],
+            len(indices),
         )
-        rows = [
-            [elements[idx].matrix.get(*pair) for idx in indices] for pair in pairs
-        ]
-        rhs = [target.get(pair, Fraction(0)) for pair in pairs]
-        solution = solve_affine(rows, rhs)
         if solution is None:
             raise _SpanError(
                 f"not decomposable over the kernel elements at product {beta}"
@@ -369,43 +344,28 @@ def defect_completion(S_last, basis, axis):
     sub_basis = build_basis(basis.total_cap, tuple(sub_caps))
     to_full = [basis.index_of(m) for m in sub_basis.monomials]
 
-    # Only transformations that avoid the axis variable admit the block
+    # The defect stays off the top rows, so it lives on the sub-basis. Only
+    # transformations that avoid the axis variable admit the block
     # completion; defects outside their span have no completion at all
     # (verified against the exact solution space of the pencil identity).
-    sub_elements = [
-        el for el in _spanning_elements(sub_basis, avoid_axis=axis) if axis not in el.move
-    ]
-    elements = []
-    for el in sub_elements:
-        matrix = SymMatrix(N)
-        for (i, j), value in el.matrix.entries():
-            matrix.set(to_full[i], to_full[j], value)
-        elements.append(
-            KernelElement(
-                matrix=matrix,
-                beta=el.beta,
-                kind=el.kind,
-                support=tuple(to_full[i] for i in el.support),
-                move=el.move,
-                plus_pair=tuple(to_full[i] for i in el.plus_pair),
-                minus_pair=tuple(to_full[i] for i in el.minus_pair),
-                u_index=to_full[el.u_index],
-            )
-        )
-
+    to_sub = {full: sub for sub, full in enumerate(to_full)}
+    S_sub = SymMatrix(len(sub_basis))
+    for (i, j), value in S_last.entries():
+        S_sub.set(to_sub[i], to_sub[j], value)
+    elements = _spanning_elements(sub_basis, avoid_axis=axis)
     try:
-        lam = _decompose_over_elements(S_last, elements, basis)
+        lam = _decompose_over_elements(S_sub, elements, sub_basis)
     except _SpanError as exc:
         raise PreconditionError(
             "the defect admits no pencil completion over this basis: "
             f"{exc} (only kernel weight on transformations avoiding variable "
             f"z{axis} is completable)"
         ) from None
-    check = SymMatrix(N)
+    check = SymMatrix(len(sub_basis))
     for value, el in zip(lam, elements):
         if value:
             check = check + el.matrix.scale(value)
-    if check != S_last:
+    if check != S_sub:
         raise InternalConsistencyError("kernel decomposition residual is nonzero")
 
     n = basis.total_cap
@@ -420,16 +380,18 @@ def defect_completion(S_last, basis, axis):
         if not value:
             continue
         r, l = el.move
-        assert axis not in (r, l)  # elements were filtered above
-        u = el.u_index
-        p_other = el.plus_pair[0] if el.plus_pair[1] == u else el.plus_pair[1]
+        assert axis not in (r, l)  # the forest skips axis moves
+        u = to_full[el.u_index]
+        plus = [to_full[i] for i in el.plus_pair]
+        minus = [to_full[i] for i in el.minus_pair]
+        p_other = plus[0] if plus[1] == u else plus[1]
         v_h = _shift(hom[u], r, l)
         if v_h is None or v_h not in hom_index:
             raise InternalConsistencyError("kernel element move left the basis")
         v = hom_index[v_h]
-        if v not in el.minus_pair:
+        if v not in minus:
             raise InternalConsistencyError("kernel element pairs are inconsistent")
-        c_other = el.minus_pair[0] if el.minus_pair[1] == v else el.minus_pair[1]
+        c_other = minus[0] if minus[1] == v else minus[1]
         q2_h = _shift(hom[u], axis, l)
         q1_h = _shift(hom[p_other], axis, r)
         if q2_h not in hom_index or q1_h not in hom_index:

@@ -234,11 +234,8 @@ def _certificate_from_gram(F, basis, gram):
     for i, weight in enumerate(D):
         if not weight:
             continue
-        poly = Polynomial.zero(basis.nvars)
-        for r in range(len(monos)):
-            if L[r][i]:
-                poly = poly + Polynomial.monomial(monos[perm[r]], L[r][i])
-        squares.append((weight, poly))
+        column = {monos[perm[r]]: L[r][i] for r in range(len(monos))}
+        squares.append((weight, Polynomial(basis.nvars, column)))
     recon = Polynomial.zero(basis.nvars)
     for weight, poly in squares:
         recon = recon + poly * poly * weight

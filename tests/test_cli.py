@@ -171,6 +171,24 @@ class TestRealize:
         assert doc["status"] == "no_certificate"
         assert doc["evidence"]["reason"]
 
+    def test_three_pole_defect_is_not_completable(self, capsys):
+        # f = -1/z1 - 1/(z1+1) - 1/(z1+2): W_1 certifies, but its axis-1
+        # defect has weight outside the axis-avoiding forest. This pins the
+        # failure until the realization is certified over the completable
+        # Gram family (ROADMAP item 1), which replaces this test.
+        code, out, err = run(
+            capsys,
+            "realize",
+            "-((z1+1)*(z1+2) + z1*(z1+2) + z1*(z1+1))",
+            "z1*(z1+1)*(z1+2)",
+            "1",
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InternalConsistencyError"
+        assert "weight outside the kernel span at product (2,)" in error["message"]
+
 
 class TestHerglotzScan:
     def test_pass_exit_zero(self, capsys):
@@ -248,6 +266,60 @@ class TestPlumbing:
         code, doc = run_json(capsys, "wronskian", "z1", "-(z1+z2)", "2")
         assert code == 0
         assert doc["wronskian"] == "-z1"
+
+    @pytest.mark.parametrize(
+        "command, positionals, options",
+        [
+            ("wronskian", ("-(z1+z2)", "z1", "1"), (("--output", "doc.json"),)),
+            ("polarize", ("-(z1+z2)", "z1*z2"), (("--output", "doc.json"),)),
+            ("kernel-basis", (), (("--n", "2"), ("--caps", "1,1"), ("--output", "doc.json"))),
+            ("sos", ("-z1 + z1^2 + z1 + 1",), (("--output", "doc.json"),)),
+            (
+                "artin",
+                ("-z1^2 + 2*z1^2 + 1",),
+                (("--candidates", "z1^2 + 2"), ("--minimize", None), ("--output", "doc.json")),
+            ),
+            ("realize", ("-1", "z1", "1"), (("--output", "doc.json"),)),
+            (
+                "herglotz-scan",
+                ("-(z1+z2)", "z1*z2"),
+                (
+                    ("--xhat-values", "1,2"),
+                    ("--z1-real", "-1,0,1"),
+                    ("--z1-imag", "0.5,1"),
+                    ("--output", "doc.json"),
+                ),
+            ),
+            (
+                "crosscheck",
+                ("-(z1+z2)", "z1*z2"),
+                (
+                    ("--candidates", "z1^2 + z2^2"),
+                    ("--xhat-values", "1"),
+                    ("--z1-real", "-1,1"),
+                    ("--z1-imag", "0.5"),
+                    ("--output", "doc.json"),
+                ),
+            ),
+        ],
+    )
+    def test_options_after_positionals(self, capsys, tmp_path, command, positionals, options):
+        target = tmp_path / "doc.json"
+        options = [
+            (name, str(target) if name == "--output" else value) for name, value in options
+        ]
+        spaced = [
+            token
+            for name, value in options
+            for token in ((name,) if value is None else (name, value))
+        ]
+        joined = [name if value is None else f"{name}={value}" for name, value in options]
+        code, first, err = run(capsys, command, *spaced, *positionals)
+        assert code in (0, 1) and err == ""
+        assert json.loads(first)["command"] == command
+        for argv in ((command, *positionals, *spaced), (command, *positionals, *joined)):
+            assert run(capsys, *argv) == (code, first, "")
+            assert target.read_text() == first
 
     def test_parse_error_structured(self, capsys):
         code, out, err = run(capsys, "sos", "z1 +")
