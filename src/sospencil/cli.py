@@ -369,9 +369,12 @@ def _reorder(argv):
     """Move options ahead of positionals so polynomials may start with '-'.
 
     The subcommand's own parser says which tokens are options and which of
-    them take a value. Every valued option is rewritten to --name=value
-    form; everything else after the subcommand is treated as a positional
-    and placed behind a '--' separator.
+    them take a value; a --name that is a unique prefix of one option's
+    name stands for that option, as in argparse, and an ambiguous one is
+    left for argparse to reject. Every valued option is rewritten to
+    --name=value form; everything else after the subcommand, and every
+    token after a '--', is treated as a positional and placed behind a
+    '--' separator.
     """
     if not argv or argv[0] not in _COMMANDS:
         return list(argv)
@@ -381,7 +384,19 @@ def _reorder(argv):
     i = 0
     while i < len(rest):
         token = rest[i]
-        name = token.split("=", 1)[0]
+        if token == "--":
+            positionals.extend(rest[i + 1:])
+            break
+        name, eq, value = token.partition("=")
+        if name.startswith("--") and name not in actions:
+            matches = [option for option in actions if option.startswith(name)]
+            if len(matches) == 1:
+                name = matches[0]
+                token = name + eq + value
+            elif matches:  # ambiguous: argparse rejects it
+                options.append(token)
+                i += 1
+                continue
         if name not in actions:
             positionals.append(token)
         elif actions[name].nargs == 0 or "=" in token or i + 1 == len(rest):

@@ -6,11 +6,12 @@ symmetric matrices store one triangle. The PSD test is a pivoted LDL^T
 factorization with complete diagonal pivoting, which is exact and doubles
 as the square-extraction backend for certificates. It runs fraction-free
 (Bareiss) elimination on the matrix times the lcm of its denominators,
-dividing out common factors as it goes. Every other elimination (rref,
-solve_affine, solve_sparse, nullspace, sparse_rank) is one Gauss-Jordan
-elimination on sparse integer rows, each kept primitive (_sparse_rref).
-Both return the same Fractions as elimination done in Fraction (the tests
-keep that elimination as their reference).
+dividing out common factors as it goes; on a SymMatrix, is_psd runs it
+once per connected component of the nonzero entries. Every other
+elimination (rref, solve_affine, solve_sparse, nullspace, sparse_rank) is
+one Gauss-Jordan elimination on sparse integer rows, each kept primitive
+(_sparse_rref). Both return the same Fractions as elimination done in
+Fraction (the tests keep that elimination as their reference).
 """
 
 from __future__ import annotations
@@ -402,16 +403,48 @@ def psd_factor(dense):
     return perm, L, D
 
 
+def _blocks(matrix):
+    """The entries of a SymMatrix, one list per connected component.
+
+    Indices i and j are connected when entry (i, j) is nonzero; the
+    components come from a union-find with path halving, inlined. Indices
+    with no entry at all are in no component.
+    """
+    parent = list(range(matrix.size))
+    for i, j in matrix._entries:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[max(i, j)] = min(i, j)
+    blocks = {}
+    for key, value in matrix._entries.items():
+        i = key[0]
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        blocks.setdefault(i, []).append((key, value))
+    return list(blocks.values())
+
+
 def is_psd(matrix):
     """Exact PSD test for a SymMatrix or dense symmetric Fraction matrix.
 
-    Runs the elimination of psd_factor without building L or D.
+    Runs the elimination of psd_factor without building L or D. A SymMatrix
+    is tested per connected component of its nonzero entries (_blocks):
+    a block-diagonal matrix is PSD exactly when every block is, and rows
+    with no entry are zero.
     """
-    if isinstance(matrix, SymMatrix):
-        scale = math.lcm(1, *(v.denominator for _, v in matrix.entries()))
-        U = [[0] * matrix.size for _ in range(matrix.size)]
-        for (i, j), v in matrix.entries():
-            U[i][j] = v.numerator * (scale // v.denominator)
-    else:
+    if not isinstance(matrix, SymMatrix):
         U, _ = _scaled_matrix(matrix)
-    return _symmetric_bareiss(U) is not None
+        return _symmetric_bareiss(U) is not None
+    for entries in _blocks(matrix):
+        members = sorted({k for (i, j), _ in entries for k in (i, j)})
+        pos = {i: k for k, i in enumerate(members)}
+        scale = math.lcm(1, *(v.denominator for _, v in entries))
+        U = [[0] * len(members) for _ in members]
+        for (i, j), v in entries:
+            U[pos[i]][pos[j]] = v.numerator * (scale // v.denominator)
+        if _symmetric_bareiss(U) is None:
+            return False
+    return True

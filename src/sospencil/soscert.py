@@ -20,6 +20,18 @@ on that face. Only when that finds nothing does the vertex hunt run: it
 rounds extreme points of the PSD slice, which also reaches faces that have
 no rational description.
 
+The search also uses F's sign symmetries (Gatermann-Parrilo, J. Pure Appl.
+Algebra 192, 2004; Lofberg, IEEE TAC 54, 2009). Flipping the signs of a set
+s of variables fixes F exactly when s . beta is even for every exponent
+beta of F, and the average of a PSD Gram matrix of F over those flips is
+again one. That average vanishes on every product class beta whose parity
+beta mod 2 lies outside the GF(2) span of the parities of F's terms, since
+some flip changes its sign. So such classes are dropped (_symmetric_classes)
+without losing any certificate. Every matrix of the family is then
+block-diagonal up to a permutation, with one block per set of basis
+monomials whose parities differ by an element of that span, and the
+exact PSD test runs per block.
+
 All numeric solves go through one deterministic numpy primal-dual interior
 point method (_ipm). Infeasibility is reported as numeric dual evidence (a
 witness W >= 0 with trace 1, orthogonal to the kernel directions, making
@@ -126,11 +138,12 @@ def _diagonal_reduction(F, monos, classes):
     """Delete monomials whose squared class pins the diagonal entry.
 
     If the only surviving pair in the product class of 2*alpha (classes as
-    built by _pair_classes over monos) is (alpha, alpha), the diagonal entry
-    equals the coefficient of z^(2 alpha) in every Gram matrix: zero forces
-    the whole row of a PSD matrix to vanish (monomial deleted), negative is
-    an exact infeasibility. Returns (alive_indices, forced) with forced =
-    (index, negative_coefficient) or None.
+    built by _symmetric_classes over monos, which keeps every class 2*alpha)
+    is (alpha, alpha), the diagonal entry equals the coefficient of
+    z^(2 alpha) in every Gram matrix: zero forces the whole row of a PSD
+    matrix to vanish (monomial deleted), negative is an exact infeasibility.
+    Returns (alive_indices, forced) with forced = (index,
+    negative_coefficient) or None.
     """
     coeff = dict(F.terms())
     alive = set(range(len(monos)))
@@ -159,6 +172,44 @@ def _pair_classes(monos):
             prod = tuple(a + b for a, b in zip(monos[i], monos[j]))
             classes.setdefault(prod, []).append((i, j))
     return classes
+
+
+def _parity(exps):
+    """The exponents mod 2, as the bits of an int."""
+    return sum(1 << k for k, e in enumerate(exps) if e % 2)
+
+
+def _symmetric_classes(F, monos):
+    """The product classes over monos that F's sign symmetries leave nonzero.
+
+    A class beta is kept when beta mod 2 lies in the GF(2) span of the
+    exponent parities of F's terms (see the module docstring). The span is
+    an xor basis keyed by leading bit. Every class holding a term of F, and
+    every squared class 2 alpha, is kept; when the span is everything, as
+    for the Herglotz Wronskians, no sign flip fixes F and every class is.
+    """
+    span = {}
+
+    def residue(v):
+        while v and v.bit_length() in span:
+            v ^= span[v.bit_length()]
+        return v
+
+    for beta in F.support():
+        if len(span) == F.nvars:
+            break
+        v = residue(_parity(beta))
+        if v:
+            span[v.bit_length()] = v
+    classes = _pair_classes(monos)
+    if len(span) == F.nvars:
+        return classes
+    parities = [_parity(alpha) for alpha in monos]
+    return {
+        beta: pairs
+        for beta, pairs in classes.items()
+        if not residue(parities[pairs[0][0]] ^ parities[pairs[0][1]])
+    }
 
 
 def _gram_over(F, monos, classes):
@@ -678,7 +729,14 @@ def _numeric_evidence(solve, reason=None):
 
 
 def _full_family_evidence(F, basis, classes, reason=None):
-    """Dual evidence computed against the unreduced Gram family."""
+    """Dual evidence against the Gram family of the whole basis.
+
+    classes are the basis's sign-symmetric product classes
+    (_symmetric_classes), so the diagonal reduction is undone. The solver's
+    iterates keep the family's block structure, so the witness vanishes at
+    every pair of a dropped class and is orthogonal to its kernel
+    directions too.
+    """
     A0 = _full_gram(F, basis, classes)
     solve = _max_min_eig(A0, _star_kernel(classes, len(basis)), len(basis))
     return _numeric_evidence(solve, reason=reason)
@@ -719,7 +777,7 @@ def sos_certify(F, basis=None):
             f"Gram basis has {N} monomials, capacity {GRAM_CAPACITY}"
         )
 
-    classes = _pair_classes(basis.monomials)
+    classes = _symmetric_classes(F, basis.monomials)
     alive, forced = _diagonal_reduction(F, basis.monomials, classes)
     if forced is not None:
         return _full_family_evidence(
@@ -730,7 +788,7 @@ def sos_certify(F, basis=None):
             "negative value",
         )
     monos = [basis.monomials[i] for i in alive]
-    alive_classes = _pair_classes(monos)
+    alive_classes = _symmetric_classes(F, monos)
     A0, missing = _gram_over(F, monos, alive_classes)
     if missing:
         return _full_family_evidence(

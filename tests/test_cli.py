@@ -321,6 +321,34 @@ class TestPlumbing:
             assert run(capsys, *argv) == (code, first, "")
             assert target.read_text() == first
 
+    def test_double_dash_separator(self, capsys, tmp_path):
+        target = tmp_path / "doc.json"
+        expected = run(capsys, "sos", "-z1+z1+1")
+        assert expected[0] == 0
+        assert run(capsys, "sos", "--", "-z1+z1+1") == expected
+        assert run(capsys, "sos", "--output", str(target), "--", "-z1+z1+1") == expected
+        assert target.read_text() == expected[1]
+        # after '--' an option name is a positional too: a second polynomial
+        with pytest.raises(SystemExit) as info:
+            main(["sos", "--", "z1^2 + 1", "--output", str(target)])
+        assert info.value.code == 2
+
+    def test_unique_option_prefix(self, capsys):
+        expected = run(capsys, "artin", "z1^2 + 1", "--candidates", "z1^2 + 2", "--minimize")
+        assert expected[0] == 0
+        for argv in (
+            ("artin", "z1^2 + 1", "--cand", "z1^2 + 2", "--min"),
+            ("artin", "--cand=z1^2 + 2", "z1^2 + 1", "--minimize"),
+        ):
+            assert run(capsys, *argv) == expected
+
+    def test_ambiguous_option_prefix_exits_two(self, capsys):
+        # --z1 is a prefix of both --z1-real and --z1-imag
+        with pytest.raises(SystemExit) as info:
+            main(["herglotz-scan", "-(z1+z2)", "z1*z2", "--z1", "0.5"])
+        assert info.value.code == 2
+        assert "ambiguous option" in capsys.readouterr().err
+
     def test_parse_error_structured(self, capsys):
         code, out, err = run(capsys, "sos", "z1 +")
         assert code == 2

@@ -170,6 +170,40 @@ def psd_matrices(draw, max_size=6):
 
 
 @st.composite
+def block_diagonal_matrices(draw):
+    """Integer blocks over a random denominator, PSD (B^T B) or not
+    (arbitrary symmetric), singleton zero and negative diagonals among them,
+    placed on the diagonal and then symmetrically permuted."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("psd", "general", "zero", "negative")))
+        if kind == "zero":
+            block = [[0]]
+        elif kind == "negative":
+            block = [[-draw(st.integers(1, 9))]]
+        else:
+            n = draw(st.integers(1, 4))
+            ints = st.integers(-3, 3)
+            if kind == "psd":
+                B = [[draw(ints) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+                block = [[sum(row[i] * row[j] for row in B) for j in range(n)] for i in range(n)]
+            else:
+                upper = {(i, j): draw(ints) for i in range(n) for j in range(i, n)}
+                block = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        den = draw(st.sampled_from((1, 2, 7)))
+        blocks.append([[Fraction(x, den) for x in row] for row in block])
+    size = sum(len(block) for block in blocks)
+    A = [[Fraction(0)] * size for _ in range(size)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            A[start + i][start:start + len(row)] = row
+        start += len(block)
+    order = draw(st.permutations(range(size)))
+    return [[A[i][j] for j in order] for i in order]
+
+
+@st.composite
 def rectangular_matrices(draw):
     """Rows of rationals with zero rows and zero columns spliced in."""
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
@@ -200,6 +234,12 @@ class TestAgainstFractionReference:
     @settings(max_examples=150, deadline=None)
     @given(symmetric_matrices())
     def test_is_psd_on_sym_matrix(self, a):
+        assert is_psd(SymMatrix.from_dense(a)) == (reference.psd_factor(a) is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_diagonal_matrices())
+    def test_is_psd_per_block(self, a):
+        # is_psd tests each connected component of a SymMatrix on its own
         assert is_psd(SymMatrix.from_dense(a)) == (reference.psd_factor(a) is not None)
 
     @settings(max_examples=150, deadline=None)

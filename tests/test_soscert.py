@@ -1,5 +1,6 @@
 """SOS certification: Gram families, exact certificates, dual evidence."""
 
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -16,7 +17,7 @@ from sospencil.errors import (
 )
 from sospencil.exactlinalg import SymMatrix, is_psd
 from sospencil.parsing import parse_polynomial
-from sospencil.polycore import Polynomial, build_basis
+from sospencil.polycore import Polynomial, build_basis, wronskian
 from sospencil import soscert
 from sospencil.soscert import (
     InfeasibilityEvidence,
@@ -33,6 +34,9 @@ MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1"
 CHOI_LAM = "z1^4*z2^2 + z2^4 + z1^2 - 3*z1^2*z2^2"
 TERNARY_MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 + z3^6 - 3*z1^2*z2^2*z3^2"
 CHOI_LAM_TERNARY = "z1^4*z2^2 + z2^4*z3^2 + z3^4*z1^2 - 3*z1^2*z2^2*z3^2"
+ROBINSON = (
+    "z1^6 + z2^6 + 1 - z1^4*z2^2 - z1^2*z2^4 - z1^4 - z2^4 - z1^2 - z2^2 + 3*z1^2*z2^2"
+)
 
 
 def poly(text, nvars=None):
@@ -169,6 +173,103 @@ class TestStageOrder:
         F = poly("(-4/3*z1^2 + 4*z1*z2 - 9/2*z2)^2 + (-5*z1*z2 + 7/2)^2")
         assert_certifies(F, sos_certify(F))
         assert calls == [("_face_step", False), ("_vertex_hunt", True)]
+
+
+def default_basis(F):
+    caps = tuple(-(-F.degree_in(k + 1) // 2) for k in range(F.nvars))
+    return build_basis(int(F.degree()) // 2, caps)
+
+
+def sign_flips(F):
+    """The sign vectors s in {0, 1}^d with s . beta even for every term beta of F."""
+    return [
+        s
+        for s in itertools.product((0, 1), repeat=F.nvars)
+        if all(sum(a * b for a, b in zip(s, beta)) % 2 == 0 for beta, _ in F.terms())
+    ]
+
+
+def sign_symmetric_inputs():
+    """The ladder's forms, and a sum of squares with odd exponents that
+    flipping z1 and z2 together fixes, each alone and times the square of
+    sum z_k^2."""
+    for text in (
+        MOTZKIN,
+        f"(z1^2 + z2^2)^2*({MOTZKIN})",
+        CHOI_LAM,
+        ROBINSON,
+        TERNARY_MOTZKIN,
+        CHOI_LAM_TERNARY,
+        "(z1*z2 - 1)^2 + (z1^2 - z2^2)^2",
+    ):
+        F = poly(text)
+        s = default_artin_candidates(F.nvars)[0]
+        yield pytest.param(F, id=text)
+        yield pytest.param(s * s * F, id=f"s^2*({text})")
+
+
+class TestSignSymmetry:
+    """Dropping the product classes that F's sign flips annihilate loses nothing."""
+
+    @staticmethod
+    def family(F, classes_of):
+        """The family sos_certify solves over: the diagonally reduced one,
+        or the whole basis's when the reduction pins a negative entry."""
+        monos = default_basis(F).monomials
+        alive, forced = soscert._diagonal_reduction(F, monos, soscert._pair_classes(monos))
+        if forced is None:
+            monos = [monos[i] for i in alive]
+        classes = classes_of(monos)
+        A0, missing = soscert._gram_over(F, monos, classes)
+        assert not missing
+        return A0, soscert._star_kernel(classes, len(monos)), len(monos)
+
+    @pytest.mark.parametrize("F", sign_symmetric_inputs())
+    def test_max_min_eig_unchanged(self, F):
+        filtered = self.family(F, lambda monos: soscert._symmetric_classes(F, monos))
+        full = self.family(F, soscert._pair_classes)
+        assert filtered[0] == full[0]
+        assert len(filtered[1]) < len(full[1])
+        t_filtered = soscert._max_min_eig(*filtered).t
+        t_full = soscert._max_min_eig(*full).t
+        assert abs(t_filtered - t_full) <= 1e-7
+
+    @pytest.mark.parametrize("F", sign_symmetric_inputs())
+    def test_outcome_and_dual(self, F, monkeypatch):
+        outcome = sos_certify(F)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                soscert, "_symmetric_classes", lambda F, monos: soscert._pair_classes(monos)
+            )
+            unfiltered = sos_certify(F)
+        assert type(outcome) is type(unfiltered)
+        if isinstance(outcome, SosCertificate):
+            assert_certifies(F, outcome)
+            return
+        assert outcome.dual_matrix is not None and unfiltered.dual_matrix is not None
+        monos = default_basis(F).monomials
+        W = np.array(outcome.dual_matrix)
+        assert W.shape == (len(monos), len(monos))
+        flips = sign_flips(F)
+        for (i, mi), (j, mj) in itertools.product(enumerate(monos), repeat=2):
+            if any(sum(a * (b + c) for a, b, c in zip(s, mi, mj)) % 2 for s in flips):
+                assert W[i, j] == 0.0
+        # a witness against the whole family, dropped classes included
+        kernel = soscert._star_kernel(soscert._pair_classes(monos), len(monos))
+        orthogonality = [
+            sum(float(v) * W[i, j] * (1 if i == j else 2) for (i, j), v in S.entries())
+            for S in kernel
+        ]
+        assert max(map(abs, orthogonality)) <= soscert.EVIDENCE_TOL
+
+    def test_herglotz_wronskian_keeps_every_class(self):
+        # W_1 of z1 - 1/(z1 + z2 + 1) - 2/(z1 + 2 z2 + 3): no sign flip fixes it
+        q = poly("(z1 + z2 + 1)*(z1 + 2*z2 + 3)")
+        p = poly("z1*(z1 + z2 + 1)*(z1 + 2*z2 + 3) - (z1 + 2*z2 + 3) - 2*(z1 + z2 + 1)")
+        W = wronskian(q, p, 1)
+        assert sign_flips(W) == [(0, 0)]
+        monos = default_basis(W).monomials
+        assert soscert._symmetric_classes(W, monos) == soscert._pair_classes(monos)
 
 
 class TestCertifyFailure:
