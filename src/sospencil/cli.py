@@ -39,6 +39,7 @@ from .soscert import (
 
 
 def _emit(doc, args):
+    doc = {"schema": 1, "command": args.command, **doc}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if getattr(args, "output", None):
@@ -78,8 +79,6 @@ def _cmd_wronskian(args):
     W = wronskian(q, p, args.k)
     _emit(
         {
-            "schema": 1,
-            "command": "wronskian",
             "nvars": nvars,
             "axis": args.k,
             "wronskian": serialize.polynomial_json(W),
@@ -95,8 +94,6 @@ def _cmd_polarize(args):
     ok, issues = verify_pencil(pencil, q, p)
     _emit(
         {
-            "schema": 1,
-            "command": "polarize",
             "nvars": nvars,
             "pencil": serialize.pencil_json(pencil),
             "verified": ok,
@@ -113,8 +110,6 @@ def _cmd_kernel_basis(args):
     elements = kernel_basis(basis)
     _emit(
         {
-            "schema": 1,
-            "command": "kernel-basis",
             "basis": serialize.basis_json(basis),
             "count": len(elements),
             "elements": [serialize.kernel_element_json(el) for el in elements],
@@ -130,8 +125,6 @@ def _cmd_sos(args):
     if isinstance(outcome, SosCertificate):
         _emit(
             {
-                "schema": 1,
-                "command": "sos",
                 "status": "certificate",
                 "certificate": serialize.certificate_json(outcome),
             },
@@ -140,8 +133,6 @@ def _cmd_sos(args):
         return 0
     _emit(
         {
-            "schema": 1,
-            "command": "sos",
             "status": serialize.evidence_status(F, outcome),
             "evidence": serialize.evidence_json(outcome),
         },
@@ -157,19 +148,10 @@ def _cmd_artin(args):
     candidates = custom if custom else None
     found = artin_certify(F, candidates)
     if found is None:
-        _emit(
-            {
-                "schema": 1,
-                "command": "artin",
-                "status": "no_certificate_in_family",
-            },
-            args,
-        )
+        _emit({"status": "no_certificate_in_family"}, args)
         return 1
     s, cert = found
     doc = {
-        "schema": 1,
-        "command": "artin",
         "status": "certificate",
         "denominator": serialize.polynomial_json(s),
         "certificate": serialize.certificate_json(cert),
@@ -200,8 +182,6 @@ def _cmd_realize(args):
     except NoCertificateError as exc:
         _emit(
             {
-                "schema": 1,
-                "command": "realize",
                 "status": "no_certificate",
                 "message": str(exc),
                 "evidence": serialize.evidence_json(exc.evidence)
@@ -213,8 +193,6 @@ def _cmd_realize(args):
         return 1
     _emit(
         {
-            "schema": 1,
-            "command": "realize",
             "status": "realization",
             "realization": serialize.realization_json(realization),
         },
@@ -227,14 +205,7 @@ def _cmd_herglotz_scan(args):
     (p, q), nvars = _parse_all([args.p, args.q])
     real_grid, halfplane_grid = _scan_grids(args)
     report = slice_scan(RationalFunction(p, q), real_grid, halfplane_grid)
-    _emit(
-        {
-            "schema": 1,
-            "command": "herglotz-scan",
-            "report": serialize.scan_report_json(report),
-        },
-        args,
-    )
+    _emit({"report": serialize.scan_report_json(report)}, args)
     return 0 if report.verdict == "pass" else 1
 
 
@@ -250,14 +221,7 @@ def _cmd_crosscheck(args):
         real_grid=real_grid,
         halfplane_grid=halfplane_grid,
     )
-    _emit(
-        {
-            "schema": 1,
-            "command": "crosscheck",
-            "report": serialize.crosscheck_json(report),
-        },
-        args,
-    )
+    _emit({"report": serialize.crosscheck_json(report)}, args)
     return 0 if report.verdict.startswith("AGREE") else 1
 
 

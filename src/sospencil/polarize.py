@@ -288,6 +288,25 @@ def product_polarization(q, p):
     return SymmetricPencil(basis, tuple(matrices))
 
 
+def _identity_residuals(pencil, q, p):
+    """Residuals of the pencil identities for q(zeta) p(z).
+
+    Returns (cross, diagonals): Psi(zeta) A(z) Psi(z)^T - q(zeta) p(z) in
+    (zeta_1..zeta_d, z_1..z_d), and Psi A_k Psi^T - W_k[q, p] for k = 1..d.
+    Each identity holds exactly when its residual is zero.
+    """
+    basis = pencil.basis
+    d = basis.nvars
+    zeta_q = Polynomial(2 * d, {exps + (0,) * d: c for exps, c in q.terms()})
+    z_p = Polynomial(2 * d, {(0,) * d + exps: c for exps, c in p.terms()})
+    cross = cross_product_polynomial(pencil) - zeta_q * z_p
+    diagonals = [
+        quadratic_form_polynomial(pencil.matrices[k], basis) - wronskian(q, p, k)
+        for k in range(1, d + 1)
+    ]
+    return cross, diagonals
+
+
 def verify_pencil(pencil, q, p):
     """Exact check of the defining identities; (ok, issues) with issues naming
     the first offending coefficient per failed identity."""
@@ -304,24 +323,16 @@ def verify_pencil(pencil, q, p):
             raise PreconditionError(f"basis caps do not cover {name}")
 
     issues = []
-    cross = cross_product_polynomial(pencil)
-    zeta_q = Polynomial(
-        2 * d, {exps + (0,) * d: c for exps, c in q.terms()}
-    )
-    z_p = Polynomial(2 * d, {(0,) * d + exps: c for exps, c in p.terms()})
-    diff = cross - zeta_q * z_p
-    if not diff.is_zero():
-        exps, coeff = diff.leading_term()
+    cross, diagonals = _identity_residuals(pencil, q, p)
+    if not cross.is_zero():
+        exps, coeff = cross.leading_term()
         issues.append(
             "cross-product identity fails at zeta-exponents "
             f"{exps[:d]}, z-exponents {exps[d:]}: residual coefficient {coeff}"
         )
-    for k in range(1, d + 1):
-        diff_k = quadratic_form_polynomial(pencil.matrices[k], basis) - wronskian(
-            q, p, k
-        )
-        if not diff_k.is_zero():
-            exps, coeff = diff_k.leading_term()
+    for k, diff in enumerate(diagonals, 1):
+        if not diff.is_zero():
+            exps, coeff = diff.leading_term()
             issues.append(
                 f"wronskian diagonal identity fails for variable {k} at "
                 f"exponents {exps}: residual coefficient {coeff}"

@@ -171,6 +171,22 @@ class TestRealize:
         assert doc["status"] == "no_certificate"
         assert doc["evidence"]["reason"]
 
+    def test_completed_defect_exit_zero(self, capsys):
+        # the certified Gram matrix differs from B_1 on 6 entries, so the
+        # realization completes a nonzero defect
+        code, doc = run_json(
+            capsys,
+            "realize",
+            "z1^3 + 5*z1^2*z2 + 8*z1*z2^2 + 4*z2^3 + 2*z1^2 + 13/2*z1*z2"
+            " + 5*z2^2 - 29/4*z1 - 8*z2 - 31/4",
+            "(z1 + z2 + 1/2)*(z1 + 2*z2 + 3)",
+            "1",
+        )
+        assert code == 0
+        assert doc["command"] == "realize"
+        assert doc["status"] == "realization"
+        assert len(doc["realization"]["pencil"]["matrices"]) == 3
+
     def test_three_pole_defect_is_not_completable(self, capsys):
         # f = -1/z1 - 1/(z1+1) - 1/(z1+2): W_1 certifies, but its axis-1
         # defect has weight outside the axis-avoiding forest. This pins the

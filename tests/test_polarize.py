@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import random_nonzero_polynomial
+from _helpers import random_nonzero_polynomial, random_polynomial
 from sospencil.errors import PreconditionError, StructuralError
 from sospencil.exactlinalg import SymMatrix
 from sospencil.parsing import parse_polynomial
@@ -140,14 +140,51 @@ class TestProductPolarization:
     def test_verify_pencil_accepts_and_reports(self):
         q = poly("z1*z2")
         p = poly("-(z1 + z2)")
-        pen = product_polarization(q, p)
+        pen = product_polarization(q, p)  # basis 1, z1, z2, z1*z2
         ok, issues = verify_pencil(pen, q, p)
         assert ok and issues == []
 
         broken = [m.copy() for m in pen.matrices]
         broken[0].set(0, 0, broken[0].get(0, 0) + 1)
         ok, issues = verify_pencil(SymmetricPencil(pen.basis, tuple(broken)), q, p)
-        assert not ok and issues
+        # A_0 takes no part in the diagonal identities
+        assert not ok
+        assert issues == [
+            "cross-product identity fails at zeta-exponents (0, 0), "
+            "z-exponents (0, 0): residual coefficient 1"
+        ]
+
+        broken = [m.copy() for m in pen.matrices]
+        broken[2].add(0, 1, Fraction(1, 2))
+        ok, issues = verify_pencil(SymmetricPencil(pen.basis, tuple(broken)), q, p)
+        assert not ok
+        assert issues == [
+            "cross-product identity fails at zeta-exponents (1, 0), "
+            "z-exponents (0, 1): residual coefficient 1/2",
+            "wronskian diagonal identity fails for variable 2 at exponents "
+            "(1, 0): residual coefficient 1",
+        ]
+
+    def test_axis_matrices_vanish_on_cap_rows(self):
+        # A_k is zero on every row whose monomial attains the basis's z_k
+        # cap, so a realization's defect gram - B_1 meets the top-row
+        # hypothesis of defect_completion exactly when the gram does
+        rng = random.Random(8191)
+        for _ in range(100):
+            d = rng.randint(1, 3)
+            q = random_nonzero_polynomial(rng, d, rng.randint(0, 4), rng.randint(1, 4))
+            p = random_polynomial(rng, d, rng.randint(0, 4), rng.randint(1, 4))
+            pen = product_polarization(q, p)
+            monomials = pen.basis.monomials
+            for k in range(1, d + 1):
+                cap = max(m[k - 1] for m in monomials)
+                top = {i for i, m in enumerate(monomials) if m[k - 1] == cap}
+                touched = [
+                    (i, j)
+                    for (i, j), value in pen.matrices[k].entries()
+                    if value and (i in top or j in top)
+                ]
+                assert touched == [], (q, p, k)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(StructuralError):

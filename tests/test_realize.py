@@ -12,17 +12,20 @@ from sospencil.errors import (
     PreconditionError,
     StructuralError,
 )
-from sospencil.exactlinalg import SymMatrix, is_psd
+from sospencil.exactlinalg import is_psd
 from sospencil.parsing import parse_polynomial
-from sospencil.polarize import SymmetricPencil, quadratic_form_polynomial
-from sospencil.polycore import Polynomial, build_basis, wronskian
+from sospencil.polarize import (
+    SymmetricPencil,
+    product_polarization,
+    quadratic_form_polynomial,
+)
+from sospencil.polycore import Polynomial, wronskian
 from sospencil.realize import (
-    _top_derivative_kill,
     Realization,
     verify_realization,
     wronskian_realization,
 )
-from sospencil.soscert import InfeasibilityEvidence
+from sospencil.soscert import InfeasibilityEvidence, SosCertificate, sos_certify
 
 
 def poly(text, nvars=None):
@@ -95,22 +98,85 @@ class TestConstruction:
         assert form == s_squared_wronskian(p, q, poly("1", 1))
 
 
-class TestTopDerivativeKill:
-    # basis 1, z1, z2, z1^2, z1*z2, z2^2: z1^2 (index 3) attains the z1 cap
-    basis = build_basis(2, (2, 2))
+# a two-variable function whose certified Gram matrix differs from the
+# product pencil's B_1, so its realization completes a nonzero defect
+COMPLETED_DEFECT = (
+    "z1^3 + 5*z1^2*z2 + 8*z1*z2^2 + 4*z2^3 + 2*z1^2 + 13/2*z1*z2 + 5*z2^2"
+    " - 29/4*z1 - 8*z2 - 31/4",
+    "(z1 + z2 + 1/2)*(z1 + 2*z2 + 3)",
+)
 
-    def test_entry_in_top_row_survives_the_derivative(self):
-        M = SymMatrix(len(self.basis), {(1, 3): Fraction(1)})
-        assert not _top_derivative_kill(M, self.basis, 1)
 
-    def test_entries_off_top_rows_are_killed(self):
-        M = SymMatrix(len(self.basis), {(0, 0): Fraction(2), (1, 5): Fraction(-1)})
-        assert _top_derivative_kill(M, self.basis, 1)
+class TestCompletedDefect:
+    def test_nonzero_defect_is_completed(self):
+        p, q = poly(COMPLETED_DEFECT[0]), poly(COMPLETED_DEFECT[1])
+        s = poly("1", 2)
+        r = wronskian_realization(p, q, s)
+        assert_valid(r)
+        B = product_polarization(q * s, p * s)
+        defect = r.certificate.gram - B.matrices[1]
+        assert len([v for _, v in defect.entries() if v]) == 6
+        assert r.pencil.matrices[1] == r.certificate.gram
+        assert r.pencil.matrices[0] != B.matrices[0]
+        assert r.pencil.matrices[2] != B.matrices[2]
 
-    def test_cap_zero_is_killed(self):
-        basis = build_basis(1, (1, 0))
-        M = SymMatrix(len(basis), {(0, 1): Fraction(1), (1, 1): Fraction(3)})
-        assert _top_derivative_kill(M, basis, 2)
+
+def herglotz_pair(rng, d, npoles):
+    """(p, q) for f = a z1 + l_0 - sum_k c_k / (z1 + l_k) with a >= 0,
+    c_k > 0 and l_k affine in z2..zd, so that
+    W_1[q, p] = a q^2 + sum_k c_k prod_{j != k} (z1 + l_j)^2 is SOS."""
+
+    def var(k, coeff=1):
+        return Polynomial.monomial(tuple(int(i == k) for i in range(d)), coeff)
+
+    def affine():
+        out = Polynomial.constant(Fraction(rng.randint(-4, 4), 2), d)
+        for k in range(1, d):
+            out = out + var(k, Fraction(rng.randint(0, 4), 2))
+        return out
+
+    factors = [var(0) + affine() for _ in range(npoles)]
+
+    def product(polys):
+        out = Polynomial.constant(1, d)
+        for factor in polys:
+            out = out * factor
+        return out
+
+    q = product(factors)
+    p = (var(0, rng.randint(0, 2)) + affine()) * q
+    for k in range(npoles):
+        residue = Polynomial.constant(Fraction(rng.randint(1, 6), 2), d)
+        p = p - residue * product(factors[:k] + factors[k + 1:])
+    return p, q
+
+
+class TestCertificateAvoidsTopRows:
+    def test_gram_is_zero_on_z1_cap_rows(self):
+        # s^2 W_1 has z1-degree below twice the basis's z1 cap, so no PSD
+        # Gram matrix over the pencil basis can weigh a row at that cap;
+        # this is why the realization needs no top-row repair
+        rng = random.Random(1307)
+        certified = 0
+        for d, npoles in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)):
+            for _ in range(4):
+                p, q = herglotz_pair(rng, d, npoles)
+                z1_plus_half = Polynomial(
+                    d, {(1,) + (0,) * (d - 1): Fraction(1), (0,) * d: Fraction(1, 2)}
+                )
+                for s in (Polynomial.constant(1, d), z1_plus_half):
+                    basis = product_polarization(q * s, p * s).basis
+                    outcome = sos_certify(s * s * wronskian(q, p, 1), basis=basis)
+                    if not isinstance(outcome, SosCertificate):
+                        continue
+                    certified += 1
+                    cap = max(m[0] for m in basis.monomials)
+                    top = {i for i, m in enumerate(basis.monomials) if m[0] == cap}
+                    assert not any(
+                        value and (i in top or j in top)
+                        for (i, j), value in outcome.gram.entries()
+                    ), (p, q, s)
+        assert certified >= 40
 
 
 def s_squared_wronskian(p, q, s):
@@ -176,6 +242,29 @@ class TestVerification:
         ok, report = verify_realization(broken)
         assert not ok
         assert report["cross_product"] is False
+
+    def test_axis2_tamper_detected(self):
+        r = wronskian_realization(poly("-(z1 + z2)"), poly("z1*z2"), poly("1", 2))
+        matrices = list(r.pencil.matrices)
+        bad = matrices[2].copy()
+        bad.add(0, 1, Fraction(1, 2))
+        matrices[2] = bad
+        broken = Realization(
+            pencil=SymmetricPencil(r.pencil.basis, tuple(matrices)),
+            p=r.p,
+            q=r.q,
+            s=r.s,
+            certificate=r.certificate,
+        )
+        ok, report = verify_realization(broken)
+        assert not ok
+        assert report == {
+            "cross_product": False,
+            "wronskian_diagonal_1": True,
+            "wronskian_diagonal_2": False,
+            "certificate_squares": True,
+            "axis1_psd": True,
+        }
 
     def test_report_keys(self):
         r = wronskian_realization(poly("-(z1 + z2)"), poly("z1*z2"), poly("1", 2))
