@@ -117,8 +117,9 @@ def pencil_row_action(matrices, basis):
         for (i, j), value in matrix.entries():
             for r, c in ((i, j), (j, i)) if i != j else ((i, i),):
                 exps = tuple(e + s for e, s in zip(basis.monomials[c], shift))
-                rows[r][exps] = rows[r].get(exps, Fraction(0)) + value
-    return [Polynomial(d, terms) for terms in rows]
+                row = rows[r]
+                row[exps] = row[exps] + value if exps in row else value
+    return [Polynomial._nonzero(d, terms) for terms in rows]
 
 
 def quadratic_form_polynomial(matrix, basis):
@@ -128,8 +129,8 @@ def quadratic_form_polynomial(matrix, basis):
     for (i, j), value in matrix.entries():
         exps = tuple(a + b for a, b in zip(basis.monomials[i], basis.monomials[j]))
         weight = value if i == j else 2 * value
-        terms[exps] = terms.get(exps, Fraction(0)) + weight
-    return Polynomial(d, terms)
+        terms[exps] = terms[exps] + weight if exps in terms else weight
+    return Polynomial._nonzero(d, terms)
 
 
 def cross_product_polynomial(pencil):
@@ -146,8 +147,8 @@ def cross_product_polynomial(pencil):
                 exps = basis.monomials[r] + tuple(
                     e + s for e, s in zip(basis.monomials[c], shift)
                 )
-                terms[exps] = terms.get(exps, Fraction(0)) + value
-    return Polynomial(2 * d, terms)
+                terms[exps] = terms[exps] + value if exps in terms else value
+    return Polynomial._nonzero(2 * d, terms)
 
 
 def pair_pencil(alpha, beta, basis):
@@ -297,8 +298,9 @@ def _identity_residuals(pencil, q, p):
     """
     basis = pencil.basis
     d = basis.nvars
-    zeta_q = Polynomial(2 * d, {exps + (0,) * d: c for exps, c in q.terms()})
-    z_p = Polynomial(2 * d, {(0,) * d + exps: c for exps, c in p.terms()})
+    pad = (0,) * d
+    zeta_q = Polynomial._trusted(2 * d, {exps + pad: c for exps, c in q._terms.items()})
+    z_p = Polynomial._trusted(2 * d, {pad + exps: c for exps, c in p._terms.items()})
     cross = cross_product_polynomial(pencil) - zeta_q * z_p
     diagonals = [
         quadratic_form_polynomial(pencil.matrices[k], basis) - wronskian(q, p, k)

@@ -2,8 +2,14 @@
 
 Polynomials are immutable maps from exponent tuples to nonzero Fractions.
 Everything downstream (pencil construction, Gram algebra, certification)
-relies on this module staying exact: floats are rejected at the door and
-all arithmetic is done in Fraction.
+relies on this module staying exact: floats are rejected at the door, and
+products run on integer numerators over one common denominator, giving one
+Fraction per result term.
+
+The public constructor validates and merges its terms. Results the module
+builds itself go through ``Polynomial._trusted``, which stores its terms
+unchecked under one invariant: every key is a tuple of ``nvars``
+nonnegative ints, and every value is a nonzero Fraction.
 
 Two monomial orders appear throughout:
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import NotRepresentableError, PreconditionError, StructuralError
 
@@ -59,9 +66,7 @@ class Polynomial:
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != nvars or any(
-                not isinstance(e, int) or e < 0 for e in exps
-            ):
+            if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
                 raise StructuralError(f"bad exponent tuple {exps} for nvars={nvars}")
             coeff = _coerce(coeff)
             if coeff:
@@ -70,6 +75,32 @@ class Polynomial:
                     del clean[exps]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """A polynomial over ``terms`` as given, without validation.
+
+        The caller guarantees the invariant: every key is a tuple of
+        ``nvars`` nonnegative ints, and every value is a nonzero Fraction.
+        ``terms`` is kept, not copied, so the caller must not change it.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
+
+    @classmethod
+    def _nonzero(cls, nvars, sums):
+        """``_trusted`` over the nonzero entries of ``sums``, in their order.
+
+        For sums that may cancel. The keys must carry the invariant; the
+        values are coerced as the public constructor coerces them, so a
+        float that reached a SymMatrix is still rejected.
+        """
+        return cls._trusted(
+            nvars,
+            {e: c if type(c) is Fraction else _coerce(c) for e, c in sums.items() if c},
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -157,28 +188,50 @@ class Polynomial:
         self._check_same_ring(other)
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.nvars, terms)
+            if exps in terms:
+                coeff += terms[exps]
+                if not coeff:
+                    del terms[exps]
+                    continue
+            terms[exps] = coeff
+        return Polynomial._trusted(self.nvars, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_same_ring(other)
+        terms = dict(self._terms)
+        for exps, coeff in other._terms.items():
+            coeff = terms[exps] - coeff if exps in terms else -coeff
+            if coeff:
+                terms[exps] = coeff
+            else:
+                del terms[exps]
+        return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_same_ring(other)
-            terms = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-            return Polynomial(self.nvars, terms)
+            da, a = _integer_terms(self._terms)
+            db, b = _integer_terms(other._terms)
+            sums = {}
+            for e1, n1 in a:
+                for e2, n2 in b:
+                    exps = tuple(map(add, e1, e2))
+                    sums[exps] = sums.get(exps, 0) + n1 * n2
+            den = da * db
+            return Polynomial._trusted(
+                self.nvars, {e: Fraction(n, den) for e, n in sums.items() if n}
+            )
         coeff = _coerce(other)
-        return Polynomial(self.nvars, {e: c * coeff for e, c in self._terms.items()})
+        if not coeff:
+            return Polynomial._trusted(self.nvars, {})
+        return Polynomial._trusted(
+            self.nvars, {e: c * coeff for e, c in self._terms.items()}
+        )
 
     def __rmul__(self, other):
         return self * other
@@ -203,12 +256,10 @@ class Polynomial:
         k = index - 1
         terms = {}
         for exps, coeff in self._terms.items():
-            if exps[k] == 0:
-                continue
-            lowered = list(exps)
-            lowered[k] -= 1
-            terms[tuple(lowered)] = coeff * exps[k]
-        return Polynomial(self.nvars, terms)
+            e = exps[k]
+            if e:
+                terms[exps[:k] + (e - 1,) + exps[k + 1 :]] = coeff * e
+        return Polynomial._trusted(self.nvars, terms)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -278,6 +329,13 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _integer_terms(terms):
+    """(lcm of the denominators, [(exponents, lcm * coefficient)]) of a
+    term map; the scaled coefficients are ints."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
 # -- monomial bases -------------------------------------------------------------
@@ -368,7 +426,7 @@ def homogenize(poly, total_degree):
         exps + (total_degree - sum(exps),): coeff
         for exps, coeff in poly._terms.items()
     }
-    return Polynomial(poly.nvars + 1, terms)
+    return Polynomial._trusted(poly.nvars + 1, terms)
 
 
 def dehomogenize(poly):
@@ -378,8 +436,8 @@ def dehomogenize(poly):
     terms = {}
     for exps, coeff in poly._terms.items():
         base = exps[:-1]
-        terms[base] = terms.get(base, Fraction(0)) + coeff
-    return Polynomial(poly.nvars - 1, terms)
+        terms[base] = terms[base] + coeff if base in terms else coeff
+    return Polynomial._nonzero(poly.nvars - 1, terms)
 
 
 def wronskian(q, p, index):
@@ -433,8 +491,8 @@ def divexact(f, g):
             raise StructuralError("polynomials do not divide exactly")
         c = r_coeff / g_coeff
         quotient[step] = c
-        rest = rest - g * Polynomial.monomial(step, c)
-    return Polynomial(f.nvars, quotient)
+        rest = rest - g * Polynomial._trusted(f.nvars, {step: c})
+    return Polynomial._trusted(f.nvars, quotient)
 
 
 def divides(g, f):
@@ -454,7 +512,7 @@ def _to_univariate(poly):
     for exps, coeff in poly._terms.items():
         coeffs.setdefault(exps[0], {})[exps[1:]] = coeff
     return {
-        d: Polynomial(poly.nvars - 1, terms) for d, terms in coeffs.items()
+        d: Polynomial._trusted(poly.nvars - 1, terms) for d, terms in coeffs.items()
     }
 
 
@@ -463,7 +521,7 @@ def _from_univariate(coeffs, nvars):
     for d, poly in coeffs.items():
         for exps, coeff in poly._terms.items():
             terms[(d,) + exps] = coeff
-    return Polynomial(nvars, terms)
+    return Polynomial._trusted(nvars, terms)
 
 
 def _content_many(polys):

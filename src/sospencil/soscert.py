@@ -285,8 +285,8 @@ def _certificate_from_gram(F, basis, gram):
     for i, weight in enumerate(D):
         if not weight:
             continue
-        column = {monos[perm[r]]: L[r][i] for r in range(len(monos))}
-        squares.append((weight, Polynomial(basis.nvars, column)))
+        column = {monos[perm[r]]: L[r][i] for r in range(len(monos)) if L[r][i]}
+        squares.append((weight, Polynomial._trusted(basis.nvars, column)))
     recon = Polynomial.zero(basis.nvars)
     for weight, poly in squares:
         recon = recon + poly * poly * weight

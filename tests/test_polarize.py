@@ -196,6 +196,21 @@ class TestProductPolarization:
         assert ok, issues
 
 
+class TestFloatEntriesRejected:
+    def test_float_entry_rejected_by_every_builder(self):
+        # SymMatrix.add keeps a float; the polynomial builders reject it
+        basis = build_basis(1, (1,))
+        matrix = SymMatrix(len(basis))
+        matrix.add(0, 1, 0.5)
+        with pytest.raises(StructuralError):
+            quadratic_form_polynomial(matrix, basis)
+        with pytest.raises(StructuralError):
+            pencil_row_action([matrix, SymMatrix(len(basis))], basis)
+        pencil = SymmetricPencil(basis, (matrix, SymMatrix(len(basis))))
+        with pytest.raises(StructuralError):
+            cross_product_polynomial(pencil)
+
+
 class TestSymmetricPencil:
     def test_matrix_count_must_match_variables(self):
         basis = build_basis(1, (1,))

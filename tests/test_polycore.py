@@ -85,6 +85,128 @@ class TestArithmetic:
         assert abs(value - (-5 + 0j)) < 1e-12
 
 
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_scale(a, s):
+    return {e: c * s for e, c in a.items() if c * s}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_diff(a, index):
+    k = index - 1
+    out = {}
+    for e, c in a.items():
+        if e[k]:
+            out[e[:k] + (e[k] - 1,) + e[k + 1 :]] = c * e[k]
+    return out
+
+
+def ref_wronskian(q, p, index):
+    return ref_add(ref_mul(q, ref_diff(p, index)), ref_mul(p, ref_diff(q, index)), -1)
+
+
+def assert_matches(result, reference, nvars):
+    """result equals the dict-of-Fraction reference and keeps the term
+    invariant: int-tuple keys of length nvars, nonzero Fraction values."""
+    assert result.nvars == nvars
+    assert result._terms == reference
+    for exps, coeff in result._terms.items():
+        assert type(exps) is tuple and len(exps) == nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@st.composite
+def ring_operands(draw):
+    """nvars in 0..3 and three polynomials with their reference dicts.
+
+    Few exponents and large denominators, so supports overlap and the
+    common-denominator scaling of products is exercised."""
+    nvars = draw(st.integers(0, 3))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=36)
+    terms = st.dictionaries(
+        st.tuples(*([st.integers(0, 2)] * nvars)), coeff, max_size=5
+    )
+    out = []
+    for _ in range(3):
+        raw = draw(terms)
+        out.append((Polynomial(nvars, raw), {e: c for e, c in raw.items() if c}))
+    return nvars, out
+
+
+scalars = st.sampled_from([0, Fraction(0)]) | st.integers(-7, 7) | st.fractions(
+    min_value=-9, max_value=9, max_denominator=20
+)
+
+
+class TestAgainstDictReference:
+    @settings(max_examples=200, deadline=None)
+    @given(ring_operands(), scalars, st.integers(0, 3))
+    def test_operations_match_reference(self, operands, scalar, n):
+        nvars, [(p, P), (q, Q), (r, R)] = operands
+        zero = Polynomial.zero(nvars)
+        assert_matches(p, P, nvars)
+        for a, A in ((p, P), (zero, {})):
+            for b, B in ((q, Q), (zero, {}), (a, A)):
+                assert_matches(a + b, ref_add(A, B), nvars)
+                assert_matches(a - b, ref_add(A, B, -1), nvars)
+                assert_matches(a * b, ref_mul(A, B), nvars)
+            assert_matches(-a, ref_scale(A, -1), nvars)
+            assert_matches(a * scalar, ref_scale(A, Fraction(scalar)), nvars)
+            assert_matches(scalar * a, ref_scale(A, Fraction(scalar)), nvars)
+            assert_matches(a**n, ref_pow(A, n, nvars), nvars)
+            for k in range(1, nvars + 1):
+                assert_matches(a.diff(k), ref_diff(A, k), nvars)
+                assert_matches(wronskian(a, q, k), ref_wronskian(A, Q, k), nvars)
+        # forced cancellation, whole and partial
+        assert_matches(p * q - q * p, {}, nvars)
+        assert_matches(p + (-p), {}, nvars)
+        assert_matches((p + r) - r, P, nvars)
+        assert_matches((r - p) + p, R, nvars)
+
+
+class TestConstructorValidates:
+    @pytest.mark.parametrize(
+        "nvars, terms",
+        [
+            (2, {(1,): 1}),  # wrong arity
+            (1, {(-1,): 1}),  # negative exponent
+            (1, {(1,): 0.5}),  # float coefficient
+            (1, {(True,): 1}),  # bool exponent
+            (2, {(1, False): 1}),
+        ],
+    )
+    def test_bad_terms_rejected(self, nvars, terms):
+        with pytest.raises(StructuralError):
+            Polynomial(nvars, terms)
+
+    def test_zero_scalar_gives_zero(self):
+        p = poly("z1^2 - 2*z2 + 1/3")
+        assert (p * 0).is_zero()
+        assert (p * Fraction(0)).is_zero()
+        assert (0 * p).is_zero()
+
+
 class TestBases:
     def test_ordering_is_graded(self):
         basis = build_basis(2, (2, 2))
