@@ -13,16 +13,31 @@ and consequently the wronskian diagonal identities
 The construction is bottom-up: a chain pencil in abstract slot variables,
 specialized to a pencil for a single monomial pair (alpha, beta), summed
 bilinearly over the terms of q and p. Everything is exact.
+
+A pair pencil depends only on (alpha, beta, basis), so it is built once and
+kept in a bounded memo, a ``functools.lru_cache`` of ``_PAIR_MEMO_SIZE``
+(1024) keys. The key is the validated exponent tuples and the basis, which
+hashes by value; the value is an immutable tuple of integer numerators over
+one denominator. ``product_polarization`` sums those numerators times the
+integer numerators of q and p over the lcm of their denominators, and builds
+one Fraction per nonzero entry of the result. Callers always get fresh
+matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InternalConsistencyError, PreconditionError, StructuralError
 from .exactlinalg import SymMatrix
-from .polycore import MonomialBasis, Polynomial, wronskian
+from .polycore import MonomialBasis, Polynomial, _integer_terms, wronskian
+
+# Pair pencils kept by _pair_pencil_entries; one wronskian-batch round of
+# the benchmark needs 128.
+_PAIR_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -45,7 +60,7 @@ class ChainPencil:
 
 def chain_pencil(k):
     """Chain pencil of size 2k+1; the k = 0 pencil is the 1x1 matrix (s_1)."""
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise StructuralError("chain size parameter k must be a nonnegative integer")
     size = 2 * k + 1
     matrices = [SymMatrix(size) for _ in range(size)]
@@ -151,6 +166,16 @@ def cross_product_polynomial(pencil):
     return Polynomial._nonzero(2 * d, terms)
 
 
+def _pencil_over(basis, den, entries):
+    """Fresh pencil with numerator / den at (i, j) of matrix k for each
+    (k, i, j, numerator) in ``entries``: i <= j, numerators nonzero, each
+    key once. Each matrix keeps the order of its entries."""
+    matrices = [SymMatrix(len(basis)) for _ in range(basis.nvars + 1)]
+    for k, i, j, numerator in entries:
+        matrices[k]._entries[i, j] = Fraction(numerator, den)
+    return SymmetricPencil(basis, tuple(matrices))
+
+
 def pair_pencil(alpha, beta, basis):
     """Pencil B with B(z) Psi(z)^T = z^beta e_{idx(alpha)} exactly.
 
@@ -167,6 +192,8 @@ def pair_pencil(alpha, beta, basis):
     beta = tuple(beta)
     if len(alpha) != d or len(beta) != d:
         raise StructuralError("monomial arity does not match the basis")
+    if any(type(e) is not int or e < 0 for e in alpha + beta):
+        raise StructuralError("monomial exponents must be nonnegative integers")
     if alpha not in basis:
         raise StructuralError(f"alpha {alpha} is not a member of the basis")
     n, caps = basis.total_cap, basis.var_caps
@@ -175,6 +202,15 @@ def pair_pencil(alpha, beta, basis):
     ):
         raise PreconditionError("pair degrees exceed the basis caps")
 
+    return _pencil_over(basis, *_pair_pencil_entries(alpha, beta, basis))
+
+
+@lru_cache(maxsize=_PAIR_MEMO_SIZE)
+def _pair_pencil_entries(alpha, beta, basis):
+    """pair_pencil as (den, ((k, i, j, numerator), ...)): matrix k holds
+    numerator / den at (i, j), i <= j, each matrix's entries in the order
+    the construction reaches them. The caller validates the input."""
+    d = basis.nvars
     a, b = sum(alpha), sum(beta)
     m = max(a, b - 1)
     aux = d  # 0-based position of the auxiliary variable
@@ -227,9 +263,7 @@ def pair_pencil(alpha, beta, basis):
             for r, c in pairs:
                 merged[var][collapse[r]][collapse[c]] += value
 
-    # aux variable set to 1: its matrix joins the constant part
-    N = len(basis)
-    out = [SymMatrix(N) for _ in range(d + 1)]
+    # rows have one total degree, so distinct labels land on distinct positions
     positions = []
     for label in unique:
         inhom = label[:d]
@@ -238,14 +272,21 @@ def pair_pencil(alpha, beta, basis):
                 f"row monomial {inhom} escaped the basis caps"
             )
         positions.append(basis.index_of(inhom))
+    # aux variable set to 1: its matrix joins the constant part
+    entries = []
     for var in range(d + 1):
-        target = out[0] if var == aux else out[var + 1]
+        target = 0 if var == aux else var + 1
         block = merged[var]
         for i in range(len(unique)):
             for j in range(i, len(unique)):
                 if block[i][j]:
-                    target.add(positions[i], positions[j], block[i][j])
-    return SymmetricPencil(basis, tuple(out))
+                    r, c = sorted((positions[i], positions[j]))
+                    entries.append((target, r, c, block[i][j]))
+    den = math.lcm(*(value.denominator for *_, value in entries))
+    return den, tuple(
+        (target, r, c, value.numerator * (den // value.denominator))
+        for target, r, c, value in entries
+    )
 
 
 def product_polarization(q, p):
@@ -278,15 +319,30 @@ def product_polarization(q, p):
 
     n, caps = caps_of(q, p)
     basis = build_basis(n, caps)
-    matrices = [SymMatrix(len(basis)) for _ in range(d + 1)]
-    for alpha, a_coeff in q.terms():
-        for beta, b_coeff in p.terms():
-            piece = pair_pencil(alpha, beta, basis)
-            weight = a_coeff * b_coeff
-            for k in range(d + 1):
-                for (i, j), value in piece.matrices[k].entries():
-                    matrices[k].add(i, j, value * weight)
-    return SymmetricPencil(basis, tuple(matrices))
+    # every term of q and p lies within the caps, so no pair needs validation
+    q_den, q_terms = _integer_terms(dict(q.terms()))
+    p_den, p_terms = _integer_terms(dict(p.terms()))
+    pieces = [
+        (a * b, _pair_pencil_entries(alpha, beta, basis))
+        for alpha, a in q_terms
+        for beta, b in p_terms
+    ]
+    scale = math.lcm(*(den for _, (den, _) in pieces))
+    # integer sums in SymMatrix.add's order: a key that cancels leaves, and
+    # comes back at the end if a later pair pencil adds to it
+    sums = {}
+    for weight, (den, entries) in pieces:
+        weight *= scale // den
+        for k, i, j, numerator in entries:
+            key = (k, i, j)
+            total = sums.get(key, 0) + weight * numerator
+            if total:
+                sums[key] = total
+            else:
+                del sums[key]
+    return _pencil_over(
+        basis, q_den * p_den * scale, (key + (n,) for key, n in sums.items())
+    )
 
 
 def _identity_residuals(pencil, q, p):

@@ -1,13 +1,23 @@
-"""Elimination done step by step in Fraction, kept as the tests' reference.
+"""Exact algorithms done step by step in Fraction, kept as the tests' reference.
 
 These are the textbook rational algorithms: Gauss–Jordan RREF, the affine
 solver read off it, and pivoted LDL^T with complete diagonal pivoting
 (largest diagonal entry, first index on ties). ``sospencil.exactlinalg``
 computes the same results by fraction-free integer elimination; the tests
 require exact equality.
+
+The pair pencil and the product polarization are built here from a fresh
+chain pencil per term pair, with every entry summed by ``SymMatrix.add``.
+``sospencil.polarize`` memoizes the pair pencils and sums integer
+numerators; the tests require the same basis and the same entries, in the
+same order.
 """
 
 from fractions import Fraction
+
+from sospencil.exactlinalg import SymMatrix
+from sospencil.polarize import chain_pencil
+from sospencil.polycore import build_basis
 
 
 def rref(rows):
@@ -95,3 +105,75 @@ def psd_factor(dense):
             for jj, j in enumerate(range(k + 1, n)):
                 A[i][j] -= column[ii] * column[jj] / d
     return perm, L, D
+
+
+def pair_pencil(alpha, beta, basis):
+    """The d+1 matrices of the pair pencil of (alpha, beta) over ``basis``;
+    the input must be valid (int exponents within the basis caps)."""
+    d = basis.nvars
+    alpha, beta = tuple(alpha), tuple(beta)
+    a, b = sum(alpha), sum(beta)
+    m = max(a, b - 1)
+    alpha_pad = alpha + (m - a,)
+    beta_pad = beta + (m + 1 - b,)
+    gamma = tuple(min(x, y) for x, y in zip(alpha_pad, beta_pad))
+    m1 = tuple(x - g for x, g in zip(alpha_pad, gamma))
+    m2 = tuple(y - g for y, g in zip(beta_pad, gamma))
+    chain = chain_pencil(sum(m1))
+    size = chain.size
+    slot_var = [None] * size
+    even_vars = [v for v in range(d + 1) for _ in range(m1[v])]
+    odd_vars = [v for v in range(d + 1) for _ in range(m2[v])]
+    for slot, var in zip(range(1, size, 2), even_vars):
+        slot_var[slot] = var
+    for slot, var in zip(range(0, size, 2), odd_vars):
+        slot_var[slot] = var
+
+    unique, collapse = [], []
+    for mu in chain.mu:
+        label = list(gamma)
+        for slot, mult in enumerate(mu):
+            label[slot_var[slot]] += mult
+        label = tuple(label)
+        if label not in unique:
+            unique.append(label)
+        collapse.append(unique.index(label))
+
+    merged = [
+        [[Fraction(0)] * len(unique) for _ in range(len(unique))] for _ in range(d + 1)
+    ]
+    for slot in range(size):
+        var = slot_var[slot]
+        for (i, j), value in chain.matrices[slot].entries():
+            for r, c in ((i, j), (j, i)) if i != j else ((i, i),):
+                merged[var][collapse[r]][collapse[c]] += value
+
+    out = [SymMatrix(len(basis)) for _ in range(d + 1)]
+    positions = [basis.index_of(label[:d]) for label in unique]
+    for var in range(d + 1):
+        target = out[0] if var == d else out[var + 1]  # aux set to 1
+        block = merged[var]
+        for i in range(len(unique)):
+            for j in range(i, len(unique)):
+                if block[i][j]:
+                    target.add(positions[i], positions[j], block[i][j])
+    return out
+
+
+def product_polarization(q, p):
+    """(basis, matrices) of the product pencil of q(zeta) p(z): the pair
+    pencils of every term pair, weighted by the coefficient product."""
+    d = q.nvars
+    nonzero = [poly for poly in (q, p) if not poly.is_zero()]
+    total = max(int(poly.degree()) for poly in nonzero)
+    caps = tuple(max(int(poly.degree_in(k)) for poly in nonzero) for k in range(1, d + 1))
+    basis = build_basis(total, caps)
+    matrices = [SymMatrix(len(basis)) for _ in range(d + 1)]
+    for alpha, a_coeff in q.terms():
+        for beta, b_coeff in p.terms():
+            piece = pair_pencil(alpha, beta, basis)
+            weight = a_coeff * b_coeff
+            for k in range(d + 1):
+                for (i, j), value in piece[k].entries():
+                    matrices[k].add(i, j, value * weight)
+    return basis, matrices

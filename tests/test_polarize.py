@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _fraction_reference as reference
 from _helpers import random_nonzero_polynomial, random_polynomial
 from sospencil.errors import PreconditionError, StructuralError
 from sospencil.exactlinalg import SymMatrix
 from sospencil.parsing import parse_polynomial
 from sospencil.polarize import (
     SymmetricPencil,
+    _pair_pencil_entries,
     chain_pencil,
     cross_product_polynomial,
     pair_pencil,
@@ -19,11 +22,16 @@ from sospencil.polarize import (
     quadratic_form_polynomial,
     verify_pencil,
 )
-from sospencil.polycore import Polynomial, build_basis, wronskian
+from sospencil.polycore import MonomialBasis, Polynomial, build_basis, wronskian
 
 
 def poly(text, nvars=None):
     return parse_polynomial(text, nvars=nvars)
+
+
+def entry_lists(matrices):
+    """Each matrix's entries, values and order."""
+    return [list(m.entries()) for m in matrices]
 
 
 def chain_action(pencil):
@@ -74,6 +82,11 @@ class TestChainPencil:
         with pytest.raises(StructuralError):
             chain_pencil(-1)
 
+    @pytest.mark.parametrize("k", [True, False, 1.0])
+    def test_non_int_k_rejected(self, k):
+        with pytest.raises(StructuralError):
+            chain_pencil(k)
+
 
 class TestPairPencil:
     def test_diagonal_case_is_unit_entry(self):
@@ -111,6 +124,33 @@ class TestPairPencil:
     def test_beta_caps_violated(self):
         with pytest.raises(PreconditionError):
             pair_pencil((1, 0), (0, 3), build_basis(2, (2, 2)))
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [
+            ((1, 0), (0, -1)),
+            ((-1, 1), (0, 1)),
+            ((1, 0), (0, 1.0)),
+            ((1.0, 0), (0, 1)),
+            ((True, 0), (0, 1)),
+            ((1, 0), (0, True)),
+        ],
+    )
+    def test_bad_exponents_rejected(self, alpha, beta):
+        with pytest.raises(StructuralError, match="nonnegative integers"):
+            pair_pencil(alpha, beta, build_basis(2, (2, 2)))
+
+    def test_permuted_basis_matches_reference(self):
+        ordered = build_basis(2, (2, 1))
+        monomials = list(ordered.monomials)
+        random.Random(5).shuffle(monomials)
+        basis = MonomialBasis(ordered.total_cap, ordered.var_caps, tuple(monomials))
+        assert basis.monomials != ordered.monomials
+        for alpha in basis:
+            for beta in basis:
+                pencil = pair_pencil(alpha, beta, basis)
+                expected = reference.pair_pencil(alpha, beta, basis)
+                assert entry_lists(pencil.matrices) == entry_lists(expected), (alpha, beta)
 
 
 class TestProductPolarization:
@@ -194,6 +234,105 @@ class TestProductPolarization:
         pen = product_polarization(poly("2", 1), poly("3", 1))
         ok, issues = verify_pencil(pen, poly("2", 1), poly("3", 1))
         assert ok, issues
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """q, p in 1..3 variables of degree <= 4 with coefficients over mixed
+    denominators, or +-1 so that entries cancel; either one, but not both,
+    may be zero."""
+    d = draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(0, 4), min_size=d, max_size=d).filter(
+        lambda e: sum(e) <= 4
+    ).map(tuple)
+    coeff = st.sampled_from([Fraction(1), Fraction(-1)]) | st.fractions(
+        min_value=-12, max_value=12, max_denominator=30
+    )
+    terms = st.dictionaries(exponents, coeff, max_size=5)
+    nonzero = st.dictionaries(exponents, coeff.filter(bool), min_size=1, max_size=5)
+    q = Polynomial(d, draw(terms))
+    p = Polynomial(d, draw(nonzero if q.is_zero() else terms))
+    return q, p
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=60, deadline=None)
+    @given(polynomial_pairs())
+    def test_product_polarization_matches_reference(self, pair):
+        q, p = pair
+        pencil = product_polarization(q, p)
+        basis, matrices = reference.product_polarization(q, p)
+        assert pencil.basis == basis
+        assert entry_lists(pencil.matrices) == entry_lists(matrices)
+
+    def test_cancelled_entry_returns_at_the_end(self):
+        # an entry whose sum reaches zero leaves its matrix and, when a
+        # later pair pencil adds to it again, comes back last
+        q, p = poly("z1^2 + z1 + 1"), poly("-z1^2 + z1 - 1")
+        pencil = product_polarization(q, p)
+        _, matrices = reference.product_polarization(q, p)
+        assert entry_lists(pencil.matrices) == entry_lists(matrices)
+
+    def test_one_factor_zero(self):
+        q = poly("1/3*z1^2 + 1/2*z2 - 2/5")
+        zero = Polynomial.zero(2)
+        for left, right in ((q, zero), (zero, q)):
+            pencil = product_polarization(left, right)
+            assert pencil.basis == reference.product_polarization(left, right)[0]
+            assert all(m.is_zero() for m in pencil.matrices)
+
+
+class TestPairPencilMemo:
+    def test_returned_matrices_are_fresh(self):
+        basis = build_basis(2, (2, 2))
+        first = pair_pencil((1, 0), (0, 2), basis)
+        for m in first.matrices:
+            m.add(0, 0, Fraction(7, 3))
+            m.set(1, 1, 5)
+        again = pair_pencil((1, 0), (0, 2), basis)
+        expected = reference.pair_pencil((1, 0), (0, 2), basis)
+        assert entry_lists(again.matrices) == entry_lists(expected)
+
+        q, p = poly("z1*z2 - 1/2"), poly("3/4*z1^2 + z2")
+        pencil = product_polarization(q, p)
+        for m in pencil.matrices:
+            m.add(0, 1, Fraction(1, 9))
+        _, matrices = reference.product_polarization(q, p)
+        assert entry_lists(product_polarization(q, p).matrices) == entry_lists(matrices)
+
+    def test_cold_and_warm_calls_agree(self):
+        q = poly("1/3*z1^2 + 1/2*z2 - 2/5")
+        p = poly("5/6*z1*z2 - 7/4*z2^2 + 1/7")
+        _pair_pencil_entries.cache_clear()
+        cold = product_polarization(q, p)
+        misses = _pair_pencil_entries.cache_info().misses
+        assert misses == 9
+        warm = product_polarization(q, p)
+        assert _pair_pencil_entries.cache_info().misses == misses
+        assert warm.basis == cold.basis
+        assert entry_lists(warm.matrices) == entry_lists(cold.matrices)
+
+    def test_each_basis_gets_its_own_pencil(self):
+        small, large = build_basis(2, (2, 2)), build_basis(3, (3, 2))
+        alpha, beta = (1, 0), (1, 1)
+        for basis in (small, large, small):
+            pencil = pair_pencil(alpha, beta, basis)
+            assert pencil.basis is basis
+            assert all(m.size == len(basis) for m in pencil.matrices)
+            expected = reference.pair_pencil(alpha, beta, basis)
+            assert entry_lists(pencil.matrices) == entry_lists(expected)
+
+    def test_errors_survive_a_cached_entry(self):
+        basis = build_basis(2, (2,))
+        pair_pencil((1,), (1,), basis)
+        chain_pencil(1)
+        for bad in ((True,), (1.0,), (-1,)):
+            with pytest.raises(StructuralError):
+                pair_pencil(bad, (1,), basis)
+            with pytest.raises(StructuralError):
+                pair_pencil((1,), bad, basis)
+        with pytest.raises(StructuralError):
+            chain_pencil(True)
 
 
 class TestFloatEntriesRejected:
