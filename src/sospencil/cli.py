@@ -385,8 +385,6 @@ def main(argv=None):
         if isinstance(exc, ParseError):
             error["line"] = exc.line
             error["col"] = exc.col
-        if isinstance(exc, NoCertificateError) and exc.evidence is not None:
-            error["evidence"] = serialize.evidence_json(exc.evidence)
         sys.stderr.write(
             json.dumps({"schema": 1, "error": error}, sort_keys=True, indent=2)
             + "\n"

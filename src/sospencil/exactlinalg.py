@@ -1,15 +1,17 @@
 """Exact rational linear algebra on dense and symmetric-sparse matrices.
 
-Fraction at the interface, integers inside; float never enters. Dense
-matrices are lists of lists, sparse rows are dicts {column: value}, and
-symmetric matrices store one triangle. The PSD test is a pivoted LDL^T
-factorization with complete diagonal pivoting, which is exact and doubles
-as the square-extraction backend for certificates. It runs fraction-free
-(Bareiss) elimination on the matrix times the lcm of its denominators,
-dividing out common factors as it goes; on a SymMatrix, is_psd runs it
-once per connected component of the nonzero entries. Every other
-elimination (rref, solve_affine, solve_sparse, nullspace, sparse_rank) is
-one Gauss-Jordan elimination on sparse integer rows, each kept primitive
+Fraction at the interface, integers inside; float never enters. Every
+entry passes _fraction (ints and Fractions only, else StructuralError):
+in SymMatrix.add, set and from_dense, the one validator of dense input,
+and in the eliminations' rows. Dense matrices are lists of lists, sparse
+rows are dicts {column: value}, and symmetric matrices store one triangle.
+The PSD test is a pivoted LDL^T factorization with complete diagonal
+pivoting, which is exact and doubles as the square-extraction backend for
+certificates. It runs fraction-free (Bareiss) elimination on the integer
+matrix lcm * A (_integer_matrix): psd_factor over all indices, is_psd per
+connected component of the nonzero entries. Every other elimination
+(rref, solve_affine, solve_sparse, nullspace, sparse_rank) is one
+Gauss-Jordan elimination on sparse integer rows, each kept primitive
 (_sparse_rref). Both return the same Fractions as elimination done in
 Fraction (the tests keep that elimination as their reference).
 """
@@ -22,8 +24,19 @@ from fractions import Fraction
 from .errors import StructuralError
 
 
+def _fraction(x):
+    """x as an exact rational; ints and Fractions pass through, a float or
+    any other type raises StructuralError."""
+    if not isinstance(x, (int, Fraction)):
+        raise StructuralError(
+            f"cannot use {type(x).__name__} {x!r} as an exact entry; use Fraction or int"
+        )
+    return x
+
+
 class SymMatrix:
-    """Sparse symmetric matrix; entries indexed (i, j) with i <= j stored once.
+    """Sparse symmetric matrix of order ``size``; entries indexed (i, j) with
+    i <= j stored once, every one a nonzero Fraction.
 
     add/get treat (i, j) and (j, i) as the same symmetric entry.
     """
@@ -44,9 +57,12 @@ class SymMatrix:
     def get(self, i, j):
         return self._entries.get(self._key(i, j), Fraction(0))
 
+    def __len__(self):
+        return self.size
+
     def add(self, i, j, value):
         key = self._key(i, j)
-        value = self._entries.get(key, Fraction(0)) + value
+        value = self._entries.get(key, Fraction(0)) + _fraction(value)
         if value:
             self._entries[key] = value
         else:
@@ -54,8 +70,9 @@ class SymMatrix:
 
     def set(self, i, j, value):
         key = self._key(i, j)
+        value = Fraction(_fraction(value))
         if value:
-            self._entries[key] = Fraction(value)
+            self._entries[key] = value
         else:
             self._entries.pop(key, None)
 
@@ -72,7 +89,7 @@ class SymMatrix:
         return out
 
     def scale(self, factor):
-        factor = Fraction(factor)
+        factor = _fraction(factor)
         out = SymMatrix(self.size)
         if factor:
             out._entries = {k: v * factor for k, v in self._entries.items()}
@@ -99,6 +116,16 @@ class SymMatrix:
     def __hash__(self):
         return hash((self.size, frozenset(self._entries.items())))
 
+    def reindexed(self, index, size):
+        """Entry (i, j) moved to (index[i], index[j]) of an order-``size``
+        matrix, in the same entry order; ``index`` is an increasing dict of
+        indices, and entries at an index it does not map are dropped."""
+        out = SymMatrix(size)
+        for (i, j), value in self._entries.items():
+            if i in index and j in index:
+                out._entries[out._key(index[i], index[j])] = value
+        return out
+
     def to_dense(self):
         rows = [[Fraction(0)] * self.size for _ in range(self.size)]
         for (i, j), value in self._entries.items():
@@ -108,15 +135,17 @@ class SymMatrix:
 
     @classmethod
     def from_dense(cls, rows):
+        """The one validator of dense input: StructuralError unless square,
+        symmetric and exact."""
         n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise StructuralError("matrix is not square")
         out = cls(n)
         for i in range(n):
-            if len(rows[i]) != n:
-                raise StructuralError("matrix is not square")
             for j in range(i, n):
                 if rows[i][j] != rows[j][i]:
                     raise StructuralError(f"matrix is not symmetric at ({i}, {j})")
-                out.set(i, j, Fraction(rows[i][j]))
+                out.set(i, j, rows[i][j])
         return out
 
     def __repr__(self):
@@ -124,11 +153,6 @@ class SymMatrix:
 
 
 # -- elimination ---------------------------------------------------------------
-
-
-def _fraction(x):
-    """x as an exact rational; ints and Fractions pass through."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def _primitive(row):
@@ -283,21 +307,18 @@ def sparse_rank(rows):
 # -- exact PSD factorization ---------------------------------------------------
 
 
-def _scaled_matrix(dense):
-    """(U, scale): scale * dense as ints, scale the lcm of the denominators.
+def _integer_matrix(entries, members):
+    """(U, scale): the upper triangle of scale * A as int rows over members.
 
-    Raises StructuralError unless dense is square and symmetric.
+    ``entries`` are SymMatrix entries ((i, j), value) with i and j in
+    ``members``, an increasing list of indices; row and column k of U stand
+    for members[k], and scale is the lcm of the entries' denominators.
     """
-    n = len(dense)
-    if any(len(row) != n for row in dense):
-        raise StructuralError("matrix is not square")
-    rows = [[_fraction(x) for x in row] for row in dense]
-    scale = math.lcm(1, *(x.denominator for row in rows for x in row))
-    U = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if U[i][j] != U[j][i]:
-                raise StructuralError(f"matrix is not symmetric at ({i}, {j})")
+    pos = {i: k for k, i in enumerate(members)}
+    scale = math.lcm(1, *(v.denominator for _, v in entries))
+    U = [[0] * len(pos) for _ in pos]
+    for (i, j), v in entries:
+        U[pos[i]][pos[j]] = v.numerator * (scale // v.denominator)
     return U, scale
 
 
@@ -370,19 +391,22 @@ def _symmetric_swap(U, k, p):
     rk[p + 1:], rp[p + 1:] = rp[p + 1:], rk[p + 1:]
 
 
-def psd_factor(dense):
-    """Pivoted LDL^T of a symmetric Fraction matrix, or None when not PSD.
+def psd_factor(matrix):
+    """Pivoted LDL^T of a SymMatrix, or None when it is not PSD.
 
-    Returns (perm, L, D) with A[perm[i]][perm[j]] == (L @ diag(D) @ L.T)[i][j],
-    L unit lower triangular, D nonnegative. Uses complete diagonal pivoting:
-    when the largest remaining diagonal entry is zero, the matrix is PSD
-    exactly when the whole remaining block vanishes. The elimination runs
-    on the integer matrix lcm * A (see _symmetric_bareiss); L and D are
-    built as Fractions once, at the end. Raises StructuralError unless the
-    matrix is square and symmetric.
+    A dense matrix is converted by SymMatrix.from_dense, which raises
+    StructuralError unless it is square and symmetric. Returns (perm, L, D)
+    with A[perm[i]][perm[j]] == (L @ diag(D) @ L.T)[i][j], L unit lower
+    triangular, D nonnegative. Uses complete diagonal pivoting: when the
+    largest remaining diagonal entry is zero, the matrix is PSD exactly
+    when the whole remaining block vanishes. The elimination runs on the
+    integer matrix lcm * A (see _symmetric_bareiss); L and D are built as
+    Fractions once, at the end.
     """
-    U, scale = _scaled_matrix(dense)
-    n = len(U)
+    if not isinstance(matrix, SymMatrix):
+        matrix = SymMatrix.from_dense(matrix)
+    n = matrix.size
+    U, scale = _integer_matrix(matrix.entries(), range(n))
     columns = [[] for _ in range(n)]
     divisors = []
     factored = _symmetric_bareiss(U, columns, divisors)
@@ -428,23 +452,17 @@ def _blocks(matrix):
 
 
 def is_psd(matrix):
-    """Exact PSD test for a SymMatrix or dense symmetric Fraction matrix.
+    """Exact PSD test for a SymMatrix (a dense matrix as in psd_factor).
 
-    Runs the elimination of psd_factor without building L or D. A SymMatrix
-    is tested per connected component of its nonzero entries (_blocks):
-    a block-diagonal matrix is PSD exactly when every block is, and rows
-    with no entry are zero.
+    Runs the elimination of psd_factor without building L or D, once per
+    connected component of the nonzero entries (_blocks): a block-diagonal
+    matrix is PSD exactly when every block is, and rows with no entry are
+    zero.
     """
     if not isinstance(matrix, SymMatrix):
-        U, _ = _scaled_matrix(matrix)
-        return _symmetric_bareiss(U) is not None
+        matrix = SymMatrix.from_dense(matrix)
     for entries in _blocks(matrix):
         members = sorted({k for (i, j), _ in entries for k in (i, j)})
-        pos = {i: k for k, i in enumerate(members)}
-        scale = math.lcm(1, *(v.denominator for _, v in entries))
-        U = [[0] * len(members) for _ in members]
-        for (i, j), v in entries:
-            U[pos[i]][pos[j]] = v.numerator * (scale // v.denominator)
-        if _symmetric_bareiss(U) is None:
+        if _symmetric_bareiss(_integer_matrix(entries, members)[0]) is None:
             return False
     return True

@@ -2,9 +2,11 @@
 
 Polynomials are immutable maps from exponent tuples to nonzero Fractions.
 Everything downstream (pencil construction, Gram algebra, certification)
-relies on this module staying exact: floats are rejected at the door, and
-products run on integer numerators over one common denominator, giving one
-Fraction per result term.
+relies on this module staying exact: floats are rejected at the door (the
+public constructor here; SymMatrix.add, set and from_dense for the matrices
+whose forms are summed into polynomials), and products run on integer
+numerators over one common denominator, giving one Fraction per result
+term.
 
 The public constructor validates and merges its terms. Results the module
 builds itself go through ``Polynomial._trusted``, which stores its terms
@@ -93,14 +95,10 @@ class Polynomial:
     def _nonzero(cls, nvars, sums):
         """``_trusted`` over the nonzero entries of ``sums``, in their order.
 
-        For sums that may cancel. The keys must carry the invariant; the
-        values are coerced as the public constructor coerces them, so a
-        float that reached a SymMatrix is still rejected.
+        For sums that may cancel. The keys must carry the invariant and the
+        values must be Fractions, as SymMatrix entries are.
         """
-        return cls._trusted(
-            nvars,
-            {e: c if type(c) is Fraction else _coerce(c) for e, c in sums.items() if c},
-        )
+        return cls._trusted(nvars, {e: c for e, c in sums.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")

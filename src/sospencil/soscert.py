@@ -114,9 +114,9 @@ class InfeasibilityEvidence:
     inconclusive, dual_matrix and margin are None and reason says why.
     """
 
-    dual_matrix: tuple | None
-    margin: float | None
-    residuals: dict | None
+    dual_matrix: tuple | None = None
+    margin: float | None = None
+    residuals: dict | None = None
     reason: str | None = None
 
 
@@ -276,7 +276,7 @@ def _certificate_from_gram(F, basis, gram):
     represented = quadratic_form_polynomial(gram, basis)
     if represented != F:
         raise InternalConsistencyError("candidate Gram matrix does not represent F")
-    factored = psd_factor(gram.to_dense())
+    factored = psd_factor(gram)
     if factored is None:
         return None
     perm, L, D = factored
@@ -631,16 +631,6 @@ def _face_system(A0, kernel_mats, vectors):
     return rows, rhs
 
 
-def _restrict(sym, keep):
-    pos = {full: small for small, full in enumerate(keep)}
-    out = SymMatrix(len(keep))
-    for (i, j), value in sym.entries():
-        if i in pos and j in pos:
-            a, b = pos[i], pos[j]
-            out.set(min(a, b), max(a, b), value)
-    return out
-
-
 def _face_step(A0, kernel_mats, size, lam_floats):
     """One step of partial facial reduction at a near-singular optimum.
 
@@ -674,14 +664,10 @@ def _face_step(A0, kernel_mats, size, lam_floats):
         lam_p, H = solution
         anchored = _affine_point(A0, kernel_mats, lam_p)
         pivots = set(rref(vectors)[1])
-        keep = [j for j in range(size) if j not in pivots]
-        if not H or not keep:
-            if is_psd(anchored):
-                return anchored
-            continue
+        keep = {j: k for k, j in enumerate(j for j in range(size) if j not in pivots)}
         free = [_affine_point(SymMatrix(size), kernel_mats, h) for h in H]
-        anchored_r = _restrict(anchored, keep)
-        free_r = [_restrict(S, keep) for S in free]
+        anchored_r = anchored.reindexed(keep, len(keep))
+        free_r = [S.reindexed(keep, len(keep)) for S in free]
         solve = _max_min_eig(anchored_r, free_r, len(keep))
         if solve.t < -_INFEAS_TOL:
             continue
@@ -689,13 +675,6 @@ def _face_step(A0, kernel_mats, size, lam_floats):
         if mu is not None:
             return _affine_point(anchored, free, mu)
     return None
-
-
-def _embed(gram_small, alive, size):
-    out = SymMatrix(size)
-    for (i, j), value in gram_small.entries():
-        out.set(alive[i], alive[j], value)
-    return out
 
 
 def _numeric_evidence(solve, reason=None):
@@ -715,10 +694,7 @@ def _numeric_evidence(solve, reason=None):
     if failed:
         gate = "numeric dual failed the evidence gate: " + ", ".join(failed)
         return InfeasibilityEvidence(
-            dual_matrix=None,
-            margin=None,
-            residuals=solve.residuals,
-            reason=f"{reason}; {gate}" if reason else gate,
+            residuals=solve.residuals, reason=f"{reason}; {gate}" if reason else gate
         )
     return InfeasibilityEvidence(
         dual_matrix=tuple(tuple(float(x) for x in row) for row in solve.dual),
@@ -762,12 +738,7 @@ def sos_certify(F, basis=None):
         return cert
     degree = int(F.degree())
     if degree % 2:
-        return InfeasibilityEvidence(
-            dual_matrix=None,
-            margin=None,
-            residuals=None,
-            reason="odd total degree",
-        )
+        return InfeasibilityEvidence(reason="odd total degree")
     if basis is None:
         caps = tuple(-(-int(max(F.degree_in(k + 1), 0)) // 2) for k in range(d))
         basis = build_basis(degree // 2, caps)
@@ -798,7 +769,8 @@ def sos_certify(F, basis=None):
             reason="a coefficient of F is reachable only through Gram rows "
             "that exact preprocessing pinned to zero",
         )
-    if quadratic_form_polynomial(_embed(A0, alive, N), basis) != F:
+    to_full = dict(enumerate(alive))
+    if quadratic_form_polynomial(A0.reindexed(to_full, N), basis) != F:
         raise InternalConsistencyError("initial Gram matrix does not represent F")
     kernel_mats = _star_kernel(alive_classes, len(monos))
 
@@ -822,15 +794,11 @@ def sos_certify(F, basis=None):
         if gram is None:
             # a near-feasible optimum is no evidence of infeasibility
             return InfeasibilityEvidence(
-                dual_matrix=None,
-                margin=None,
-                residuals=None,
                 reason="numeric search found a near-feasible point but no "
-                "exact rounding succeeded",
+                "exact rounding succeeded"
             )
 
-    full = _embed(gram, alive, N)
-    cert = _certificate_from_gram(F, basis, full)
+    cert = _certificate_from_gram(F, basis, gram.reindexed(to_full, N))
     if cert is None:
         raise InternalConsistencyError("embedded Gram matrix lost semidefiniteness")
     return cert

@@ -85,6 +85,21 @@ class TestSos:
         assert doc["status"] == "infeasible"
         assert doc["evidence"]["reason"] == "odd total degree"
 
+    def test_coefficient_behind_pinned_rows_gives_full_family_evidence(self, capsys):
+        # z1^2 and z2^2 are absent, so their rows are pinned to zero and
+        # z1*z2 is out of reach: the evidence is against the whole basis
+        code, doc = run_json(capsys, "sos", "z1*z2")
+        assert code == 1
+        assert doc["status"] == "infeasible"
+        evidence = doc["evidence"]
+        assert evidence["reason"] == (
+            "a coefficient of F is reachable only through Gram rows that exact "
+            "preprocessing pinned to zero"
+        )
+        assert evidence["margin"] > 0
+        assert len(evidence["dual_matrix"]) == 3  # 1, z1, z2
+        assert all(value <= 1e-8 for value in evidence["residuals"].values())
+
     def test_unrounded_sum_of_squares_is_inconclusive(self, capsys):
         # a sum of squares whose Gram matrices all share an irrational
         # kernel: no rounding is found, which is no evidence of infeasibility

@@ -54,6 +54,107 @@ class TestSymMatrix:
         a.set(1, 1, Fraction(2))
         assert SymMatrix.from_dense(a.to_dense()) == a
 
+    def test_len_is_the_order(self):
+        assert len(SymMatrix(4)) == 4
+        assert len(SymMatrix.from_dense([])) == 0
+
+    def test_entries_are_fractions(self):
+        a = SymMatrix(2)
+        a.set(0, 1, 3)
+        a.add(1, 1, 2)
+        a.add(1, 1, Fraction(1, 2))
+        assert all(type(v) is Fraction for _, v in a.entries())
+        assert all(type(v) is Fraction for _, v in a.scale(2).entries())
+        assert all(type(v) is Fraction for _, v in SymMatrix.from_dense([[1, 2], [2, 0]]).entries())
+
+    def test_ragged_from_dense_rejected(self):
+        # row 2 is short; reading entry (2, 1) first used to raise IndexError
+        ragged = [[1, 2, 3], [2, 1, 5], [3]]
+        for builder in (SymMatrix.from_dense, psd_factor, is_psd):
+            with pytest.raises(StructuralError):
+                builder(ragged)
+
+    def test_non_exact_entries_rejected(self):
+        for value in (0.0, "1/2", None):
+            with pytest.raises(StructuralError):
+                SymMatrix.from_dense([[value]])
+            with pytest.raises(StructuralError):
+                SymMatrix(1).add(0, 0, value)
+            with pytest.raises(StructuralError):
+                SymMatrix(1).set(0, 0, value)
+
+
+# The re-indexing loops that SymMatrix.reindexed replaced, kept as references.
+
+
+def embed_reference(gram_small, alive, size):
+    out = SymMatrix(size)
+    for (i, j), value in gram_small.entries():
+        out.set(alive[i], alive[j], value)
+    return out
+
+
+def restrict_reference(sym, keep):
+    pos = {full: small for small, full in enumerate(keep)}
+    out = SymMatrix(len(keep))
+    for (i, j), value in sym.entries():
+        if i in pos and j in pos:
+            a, b = pos[i], pos[j]
+            out.set(min(a, b), max(a, b), value)
+    return out
+
+
+def copy_reference(S, to_sub, size):
+    out = SymMatrix(size)
+    for (i, j), value in S.entries():
+        out.set(to_sub[i], to_sub[j], value)
+    return out
+
+
+@st.composite
+def sparse_sym_matrices(draw, max_size=7):
+    """A SymMatrix built by random add calls, so its entry order is arbitrary."""
+    n = draw(st.integers(0, max_size))
+    out = SymMatrix(n)
+    if n:
+        index = st.integers(0, n - 1)
+        for _ in range(draw(st.integers(0, 2 * n))):
+            out.add(draw(index), draw(index), draw(st.sampled_from([Fraction(-1), Fraction(1, 3), Fraction(2)])))
+    return out
+
+
+class TestReindexed:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_sym_matrices(), st.data())
+    def test_restrict(self, S, data):
+        keep = sorted(data.draw(st.sets(st.integers(0, max(S.size - 1, 0)), max_size=S.size)))
+        pos = {full: small for small, full in enumerate(keep)}
+        out = S.reindexed(pos, len(keep))
+        expected = restrict_reference(S, keep)
+        assert out == expected
+        assert list(out.entries()) == list(expected.entries())
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_sym_matrices(), st.data())
+    def test_embed_and_copy(self, S, data):
+        size = S.size + data.draw(st.integers(0, 3))
+        alive = sorted(data.draw(st.permutations(range(size)))[:S.size])
+        out = S.reindexed(dict(enumerate(alive)), size)
+        for expected in (
+            embed_reference(S, alive, size),
+            copy_reference(S, dict(enumerate(alive)), size),
+        ):
+            assert out == expected
+            assert list(out.entries()) == list(expected.entries())
+
+    def test_source_untouched_and_bounds_checked(self):
+        S = SymMatrix.from_dense([[1, 2], [2, 3]])
+        T = S.reindexed({0: 1, 1: 2}, 3)
+        assert T.to_dense() == [[0, 0, 0], [0, 1, 2], [0, 2, 3]]
+        assert S.to_dense() == [[1, 2], [2, 3]]
+        with pytest.raises(StructuralError):
+            S.reindexed({0: 1, 1: 2}, 2)
+
 
 class TestElimination:
     def test_rref_known(self):
@@ -230,6 +331,15 @@ class TestAgainstFractionReference:
         assert psd_factor(a) == expected
         assert is_psd(a)
         assert is_psd(SymMatrix.from_dense(a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(symmetric_matrices(), psd_matrices(), block_diagonal_matrices()))
+    def test_psd_factor_on_sym_matrix(self, a):
+        # a dense matrix goes through from_dense, so both forms agree exactly
+        S = SymMatrix.from_dense(a)
+        expected = reference.psd_factor(a)
+        assert psd_factor(S) == psd_factor(S.to_dense()) == expected
+        assert is_psd(S) == is_psd(S.to_dense()) == (expected is not None)
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_matrices())

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import _fraction_reference as reference
 from _helpers import random_nonzero_polynomial, random_polynomial
 from sospencil.errors import PreconditionError, StructuralError
-from sospencil.exactlinalg import SymMatrix
+from sospencil.exactlinalg import SymMatrix, is_psd, psd_factor, rref, solve_sparse
 from sospencil.parsing import parse_polynomial
 from sospencil.polarize import (
     SymmetricPencil,
@@ -337,17 +337,26 @@ class TestPairPencilMemo:
 
 class TestFloatEntriesRejected:
     def test_float_entry_rejected_by_every_builder(self):
-        # SymMatrix.add keeps a float; the polynomial builders reject it
-        basis = build_basis(1, (1,))
-        matrix = SymMatrix(len(basis))
-        matrix.add(0, 1, 0.5)
+        # SymMatrix is the exact core's door: a float never gets into one,
+        # so the pencil builders only ever sum Fractions
+        matrix = SymMatrix(2)
         with pytest.raises(StructuralError):
-            quadratic_form_polynomial(matrix, basis)
+            matrix.add(0, 1, 0.5)
         with pytest.raises(StructuralError):
-            pencil_row_action([matrix, SymMatrix(len(basis))], basis)
-        pencil = SymmetricPencil(basis, (matrix, SymMatrix(len(basis))))
+            matrix.set(0, 1, 0.1)
         with pytest.raises(StructuralError):
-            cross_product_polynomial(pencil)
+            matrix.scale(0.5)
+        assert matrix.is_zero()
+        dense = [[Fraction(1), 0.5], [0.5, Fraction(1)]]
+        for builder in (SymMatrix.from_dense, psd_factor, is_psd):
+            with pytest.raises(StructuralError):
+                builder(dense)
+        with pytest.raises(StructuralError):
+            rref([[Fraction(1), 0.5]])
+        with pytest.raises(StructuralError):
+            solve_sparse([{0: 0.5}], [Fraction(1)], 1)
+        with pytest.raises(StructuralError):
+            solve_sparse([{0: Fraction(1)}], [0.5], 1)
 
 
 class TestSymmetricPencil:

@@ -1,6 +1,7 @@
 """JSON builders: deterministic, lossless shapes for every result object."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from sospencil import serialize
@@ -11,7 +12,7 @@ from sospencil.parsing import parse_polynomial
 from sospencil.polarize import product_polarization
 from sospencil.polycore import RationalFunction, build_basis
 from sospencil.realize import wronskian_realization
-from sospencil.soscert import sos_certify
+from sospencil.soscert import InfeasibilityEvidence, artin_certify, sos_certify
 
 
 def poly(text, nvars=None):
@@ -78,3 +79,27 @@ def test_reports_serialize_to_json():
     assert parsed["scan"]["verdict"] == "pass"
     assert parsed["cross"]["verdict"] == "AGREE_SOS_HERGLOTZ"
     assert parsed["realization"]["p"] == "-1"
+
+
+def test_disagreement_with_artin_certificate():
+    # the report of a coarse-grid DISAGREE, its Wronskian replaced by
+    # Motzkin's form, which is not SOS but has an Artin certificate
+    report = crosscheck_slice_criterion(
+        poly("z1^2"), poly("1", 1), halfplane_grid=[1 + 0.5j, 2 + 1j]
+    )
+    motzkin = poly("z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1")
+    evidence = sos_certify(motzkin)
+    assert isinstance(evidence, InfeasibilityEvidence)
+    s, cert = artin_certify(motzkin, candidates=[poly("z1^2 + z2^2")])
+    report = replace(report, wronskian=motzkin, evidence=evidence, artin_result=(s, cert))
+    doc = json.loads(json.dumps(serialize.crosscheck_json(report), sort_keys=True))
+    assert doc["verdict"] == "DISAGREE"
+    assert doc["artin_attempted"] is True
+    assert doc["sos"]["status"] == "infeasible"
+    assert doc["sos"]["evidence"]["margin"] > 0
+    assert doc["artin"] == {
+        "status": "certificate",
+        "denominator": "z1^2 + z2^2",
+        "certificate": json.loads(json.dumps(serialize.certificate_json(cert))),
+    }
+    assert doc["scan"]["verdict"] == "pass"

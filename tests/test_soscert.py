@@ -291,6 +291,11 @@ class TestCertifyFailure:
         assert isinstance(ev, InfeasibilityEvidence)
         assert "odd" in ev.reason
 
+    def test_evidence_fields_default_to_none(self):
+        ev = sos_certify(poly("z1^3 + z1"))
+        assert ev == InfeasibilityEvidence(reason="odd total degree")
+        assert (ev.dual_matrix, ev.margin, ev.residuals) == (None, None, None)
+
     def test_forced_negative_diagonal(self):
         ev = sos_certify(poly("z1^2 - 1"))
         assert isinstance(ev, InfeasibilityEvidence)
