@@ -259,8 +259,6 @@ def solve_affine(rows, rhs):
     """
     if not rows:
         raise StructuralError("solve_affine needs at least one equation row")
-    if len(rhs) != len(rows):
-        raise StructuralError(f"solve_affine got {len(rows)} rows but {len(rhs)} right-hand sides")
     ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise StructuralError("solve_affine needs rows of equal length")
@@ -276,8 +274,15 @@ def solve_sparse(rows, rhs, ncols):
     the particular solution is zero at the free columns, and the basis has
     one vector per free column, in increasing order, equal to 1 there and
     0 at the other free columns. Returns None when the system is
-    inconsistent.
+    inconsistent. Raises StructuralError when rhs and rows differ in length
+    or a column is not an int in [0, ncols).
     """
+    if len(rhs) != len(rows):
+        raise StructuralError(f"solve_sparse got {len(rows)} rows but {len(rhs)} right-hand sides")
+    for row in rows:
+        for c in row:
+            if not isinstance(c, int) or not 0 <= c < ncols:
+                raise StructuralError(f"solve_sparse got column {c!r} outside [0, {ncols})")
     reduced = _sparse_rref([_integer_row({**row, ncols: b}) for row, b in zip(rows, rhs)])
     if ncols in reduced:
         return None

@@ -8,17 +8,21 @@ witness but can only report "pass" up to grid resolution. The crosscheck
 pairs this scan with the exact SOS decision on the axis-1 Wronskian and
 reports whether the two sides agree.
 
-Everything here is floating point by design. Skipped points (denominator
-too small) are counted, never silently dropped. The scan and the
-holomorphy sampler evaluate p and q in numpy, one block of the grid at a
-time (one value of its outermost coordinate), so a scan minimum may
-differ in its last bits from per-point evaluation with
-Polynomial.eval_complex; the witness is the first minimum in
-itertools.product order of the grid.
+Everything here is floating point by design, and every grid value must
+be finite. Skipped points (denominator too small) are counted, never
+silently dropped. The scan and the holomorphy sampler evaluate p and q in
+numpy over blocks of whole runs of the grid's outermost coordinate (all
+points sharing one of its values): as many runs as fit in _BLOCK_POINTS
+grid points, and never less than one run. Each point's sum over terms
+runs in term order whatever the block, so the block size never changes a
+result; a scan minimum may still differ in its last bits from per-point
+evaluation with Polynomial.eval_complex. The witness is the first minimum
+in itertools.product order of the grid.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,6 +43,7 @@ from .soscert import (
 
 SCAN_TOLERANCE = 1e-9
 DENOMINATOR_THRESHOLD = 1e-12
+_BLOCK_POINTS = 1 << 14  # most grid points in one numpy pass, unless one run is larger
 
 
 def default_real_axis():
@@ -102,6 +107,11 @@ def _block_values(groups, z1_table, tables):
     z_2..z_d whose power tables are tables. The terms sharing one exponent
     of z_1 are summed over the rows first, then multiplied across the
     columns by that power of z_1.
+
+    Each row sums its terms one by one in term order. numpy does so along
+    the slow axis of the (terms, rows) array, but sums the fast axis
+    pairwise, and with one row the term axis is the fast one; that case
+    accumulates instead, so a row's value does not depend on the block.
     """
     rows = math.prod(table.shape[1] for table in tables)
     out = np.zeros((rows, z1_table.shape[1]), dtype=complex)
@@ -111,8 +121,27 @@ def _block_values(groups, z1_table, tables):
             factor = (factor[:, :, None] * table[exps[:, k]][:, None, :]).reshape(
                 len(coeffs), -1
             )
-        out += np.multiply.outer(factor.sum(axis=0), z1_table[e1])
+        sums = factor.sum(axis=0) if rows > 1 else np.add.accumulate(factor)[-1]
+        out += np.multiply.outer(sums, z1_table[e1])
     return out
+
+
+def _blocks(runs, run_points):
+    """(start, stop) ranges covering range(runs), each of as many runs of
+    run_points grid points as fit in _BLOCK_POINTS, and at least one."""
+    step = max(1, _BLOCK_POINTS // run_points)
+    return [(start, min(start + step, runs)) for start in range(0, runs, step)]
+
+
+def _check_halfplane(points, name):
+    """StructuralError unless every point is finite with positive imaginary part."""
+    for z in points:
+        if not cmath.isfinite(z):
+            raise StructuralError(f"{name} grid point {z} is not finite")
+        if z.imag <= 0:
+            raise StructuralError(
+                f"{name} grid point {z} has nonpositive imaginary part"
+            )
 
 
 def _product_point(axis, repeat, index):
@@ -142,7 +171,7 @@ def slice_scan(f, real_grid=None, halfplane_grid=None):
 
     real_grid lists the values taken by each pinned coordinate (the same
     axis is used for all of them); halfplane_grid lists the z_1 samples,
-    all with positive imaginary part.
+    all with positive imaginary part. Every value must be finite.
     """
     if not isinstance(f, RationalFunction):
         raise StructuralError("slice_scan expects a RationalFunction")
@@ -159,31 +188,26 @@ def slice_scan(f, real_grid=None, halfplane_grid=None):
     )
     if not halfplane or (d > 1 and not real_axis):
         raise StructuralError("scan grids must be nonempty")
-    for z in halfplane:
-        if z.imag <= 0:
-            raise StructuralError(
-                f"half-plane grid point {z} has nonpositive imaginary part"
-            )
+    for x in real_axis:
+        if not math.isfinite(x):
+            raise StructuralError(f"real grid value {x} is not finite")
+    _check_halfplane(halfplane, "half-plane")
 
     p_groups, q_groups = _z1_groups(f.p), _z1_groups(f.q)
     top = _top_exponent(f.p, f.q)
     z1_table = _power_table(np.array(halfplane, dtype=complex), top)
     x_table = _power_table(np.array(real_axis, dtype=float), top)
-    # one block per value of x_2, the outermost coordinate of the product order
-    if d == 1:
-        blocks = [[]]
-    else:
-        blocks = (
-            [x_table[:, b : b + 1]] + [x_table] * (d - 2)
-            for b in range(len(real_axis))
-        )
+    # a run holds the points sharing one value of x_2, the outermost
+    # coordinate of the product order; at d = 1 the whole grid is one run
+    runs = len(real_axis) if d > 1 else 1
     rows = len(real_axis) ** max(d - 2, 0)
 
     min_im = None
     witness = None
     samples = 0
     skipped = 0
-    for b, tables in enumerate(blocks):
+    for start, stop in _blocks(runs, rows * len(halfplane)):
+        tables = [x_table[:, start:stop]] + [x_table] * (d - 2) if d > 1 else []
         qv = _block_values(q_groups, z1_table, tables)
         keep = np.flatnonzero(np.abs(qv) > DENOMINATOR_THRESHOLD)
         samples += keep.size
@@ -196,7 +220,7 @@ def slice_scan(f, real_grid=None, halfplane_grid=None):
         value = float(values[first])
         if min_im is None or value < min_im:
             row, col = divmod(int(keep[first]), len(halfplane))
-            xhat = _product_point(real_axis, d - 1, b * rows + row)
+            xhat = _product_point(real_axis, d - 1, start * rows + row)
             min_im = value
             witness = (halfplane[col],) + tuple(complex(x) for x in xhat)
     if min_im is None:
@@ -217,8 +241,9 @@ def slice_scan(f, real_grid=None, halfplane_grid=None):
 
 def holomorphy_sample_check(q, grid=None):
     """Necessary-condition sampler: q must not vanish on the sampled points
-    of the open poly-halfplane. (True, None) or (False, witness). Passing is
-    not a holomorphy proof.
+    of the open poly-halfplane. (True, None) or (False, witness), the first
+    zero in product order. Passing is not a holomorphy proof. Every grid
+    point must be finite with positive imaginary part.
     """
     if not isinstance(q, Polynomial):
         raise StructuralError("holomorphy_sample_check expects a Polynomial")
@@ -232,20 +257,17 @@ def holomorphy_sample_check(q, grid=None):
     )
     if not axis:
         raise StructuralError("holomorphy grid must be nonempty")
-    for z in axis:
-        if z.imag <= 0:
-            raise StructuralError(
-                f"holomorphy grid point {z} has nonpositive imaginary part"
-            )
+    _check_halfplane(axis, "holomorphy")
     groups = _z1_groups(q)
     table = _power_table(np.array(axis, dtype=complex), _top_exponent(q))
     rows = len(axis) ** (d - 1)
-    # one block per value of z_1, the outermost coordinate of the product order
-    for b in range(len(axis)):
-        values = _block_values(groups, table[:, b : b + 1], [table] * (d - 1))
-        bad = np.flatnonzero(np.abs(values) <= DENOMINATOR_THRESHOLD)
+    # a run holds the points sharing one value of z_1, the outermost
+    # coordinate of the product order: z_1 runs over the columns of a block
+    for start, stop in _blocks(len(axis), rows):
+        values = _block_values(groups, table[:, start:stop], [table] * (d - 1))
+        bad = np.flatnonzero(np.abs(values.T) <= DENOMINATOR_THRESHOLD)
         if bad.size:
-            return False, _product_point(axis, d, b * rows + int(bad[0]))
+            return False, _product_point(axis, d, start * rows + int(bad[0]))
     return True, None
 
 

@@ -263,8 +263,34 @@ class TestHerglotzScan:
         _, explicit, _ = run(capsys, "herglotz-scan", "-1", "z1", option, values)
         assert explicit == default
 
+    @pytest.mark.parametrize(
+        "option, values",
+        [
+            ("--xhat-values", "nan,1"),
+            ("--xhat-values", "1,inf"),
+            ("--z1-real", "0,nan"),
+            ("--z1-imag", "nan"),
+            ("--z1-imag", "1,inf"),
+        ],
+    )
+    def test_non_finite_grid_value_exits_two(self, capsys, option, values):
+        # --xhat-values nan,1 used to print "min_im": NaN, which is not JSON,
+        # with a pass verdict and exit 0, though Im f = -y < 0 at x2 = 1
+        code, out, err = run(capsys, "herglotz-scan", "-z1*z2^2", "1", option, values)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "StructuralError"
+        assert "not finite" in error["message"]
+
 
 class TestCrosscheck:
+    def test_non_finite_grid_value_exits_two(self, capsys):
+        code, out, err = run(capsys, "crosscheck", "-1", "z1", "--z1-imag", "nan")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "StructuralError"
+
     def test_agreement_exit_zero(self, capsys):
         code, doc = run_json(capsys, "crosscheck", "-1", "z1")
         assert code == 0

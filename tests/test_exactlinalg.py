@@ -432,6 +432,23 @@ class TestStructuralErrors:
         with pytest.raises(StructuralError):
             rref([[1, 2, 3], [4, 5]])
 
+    def test_solve_sparse_length_mismatch(self):
+        # each extra right-hand side used to be dropped, each missing one
+        # took its row with it
+        with pytest.raises(StructuralError):
+            solve_sparse([{0: 1}, {1: 1}], [1], 2)
+        with pytest.raises(StructuralError):
+            solve_sparse([{0: 1}], [1, 2], 2)
+
+    @pytest.mark.parametrize("column", [-1, 2, 5, 1.0, "0", None])
+    def test_solve_sparse_column_outside_range(self, column):
+        # {-1: 1} used to solve for the last column, {5: 1} to read as
+        # inconsistent, and {2: 1} to overwrite the right-hand side
+        with pytest.raises(StructuralError):
+            solve_sparse([{column: 1}], [1], 2)
+        with pytest.raises(StructuralError):
+            solve_sparse([{0: 1}, {column: 1, 1: 1}], [1, 0], 2)
+
 
 # -- sparse systems against the Fraction reference ----------------------------------
 

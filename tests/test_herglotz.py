@@ -1,11 +1,13 @@
 """Slice-criterion scanning and the exact-vs-numeric crosscheck."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sospencil import herglotz
 from sospencil.errors import (
     InconclusiveScanError,
     PreconditionError,
@@ -261,6 +263,167 @@ class TestHolomorphyCheck:
             st.lists(st.sampled_from((1j, 2j, 0.5 + 1j, -1 + 0.5j, 3 + 2j)), min_size=1, max_size=4)
         )
         assert holomorphy_sample_check(q, axis) == reference_holomorphy(q, tuple(axis))
+
+
+class TestNonFiniteGrids:
+    # nan compares false with everything, so a nan grid value used to pass
+    # the half-plane check and become the scan minimum, printed as NaN
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_scan_rejects_real_value(self, value):
+        with pytest.raises(StructuralError, match="not finite"):
+            slice_scan(ratio("-z1*z2^2", "1", 2), real_grid=[value, 1.0])
+
+    @pytest.mark.parametrize(
+        "point",
+        [complex(0, math.nan), complex(math.nan, 1), complex(math.inf, 1), complex(1, math.inf)],
+    )
+    def test_scan_rejects_halfplane_point(self, point):
+        with pytest.raises(StructuralError, match="not finite"):
+            slice_scan(ratio("-1", "z1", 1), halfplane_grid=[1j, point])
+
+    def test_scan_rejects_real_value_at_one_variable(self):
+        # the report records the real axis even where no coordinate is pinned
+        with pytest.raises(StructuralError, match="not finite"):
+            slice_scan(ratio("-1", "z1", 1), real_grid=[math.nan])
+
+    @pytest.mark.parametrize("point", [complex(0, math.nan), complex(math.inf, 2)])
+    def test_holomorphy_rejects_point(self, point):
+        # complex(0, nan) used to give (True, None)
+        for grid in ([point], [1j, point]):
+            with pytest.raises(StructuralError, match="not finite"):
+                holomorphy_sample_check(poly("z1 + z2"), grid=grid)
+
+
+# -- block size: a result must not depend on how the grid is cut ----------------
+
+QUARTER_INTEGERS = tuple(x / 4 for x in range(-20, 21))
+# holds i and 2i, where the factors z_k^2 + 1 and z_k^2 + 4 vanish
+HALFPLANE_POOL = tuple(
+    complex(x / 4, y) for x in range(-8, 9) for y in (0.5, 1.0, 2.0)
+)
+# the longest real axis (scans) or holomorphy axis drawn at each d
+SCAN_AXIS_MAX = {1: 40, 2: 40, 3: 40, 4: 12}
+HOLOMORPHY_AXIS_MAX = {1: 40, 2: 40, 3: 12, 4: 6}
+
+
+def under_budgets(budgets, call):
+    """call() with herglotz._BLOCK_POINTS at each budget: results, or error types."""
+    results = []
+    for budget in budgets:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herglotz, "_BLOCK_POINTS", budget)
+            try:
+                results.append(call())
+            except InconclusiveScanError as exc:
+                results.append(type(exc))
+    return results
+
+
+def ragged_budget(draw, runs, run_points):
+    """A budget of k runs and a part of one, with k not dividing runs if it can."""
+    ks = [k for k in range(2, runs) if runs % k] or [1]
+    return draw(st.sampled_from(ks)) * run_points + draw(st.integers(0, run_points - 1))
+
+
+@st.composite
+def wide_polys(draw, nvars):
+    # up to 16 terms in z_2..z_d degree 9: one exponent of z_1 can hold 8 or
+    # more terms, which numpy would sum pairwise along a one-row block
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), *[st.integers(0, 9)] * (nvars - 1)),
+            st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3))),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    return Polynomial(nvars, terms)
+
+
+class TestBlockSizeIndependence:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_scan(self, data):
+        d = data.draw(st.integers(1, 4))
+        p = data.draw(st.one_of(sparse_polys(d), wide_polys(d)))
+        q = data.draw(st.one_of(sparse_polys(d), wide_polys(d)))
+        if q.is_zero():
+            q = Polynomial.one(d)
+        real_axis = tuple(
+            data.draw(
+                st.lists(
+                    st.sampled_from(QUARTER_INTEGERS),
+                    min_size=1,
+                    max_size=SCAN_AXIS_MAX[d],
+                    unique=True,
+                )
+            )
+        )
+        halfplane = tuple(
+            data.draw(st.lists(st.sampled_from(HALFPLANE_POOL), min_size=1, max_size=4))
+        )
+        runs = len(real_axis) if d > 1 else 1
+        run_points = len(real_axis) ** max(d - 2, 0) * len(halfplane)
+        budgets = (1, ragged_budget(data.draw, runs, run_points), herglotz._BLOCK_POINTS)
+        f = RationalFunction(p, q)
+        results = under_budgets(budgets, lambda: slice_scan(f, real_axis, halfplane))
+        # ScanReport equality: min_im, witness, samples and skipped exactly
+        assert results == [results[0]] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_holomorphy(self, data):
+        d = data.draw(st.integers(1, 4))
+        q = Polynomial.one(d)
+        for k, c in data.draw(
+            st.lists(st.tuples(st.integers(1, d), st.sampled_from((1, 4))), max_size=3)
+        ):
+            q = q * (Polynomial.variable(k, d) * Polynomial.variable(k, d) + Polynomial.constant(c, d))
+        if data.draw(st.booleans()):
+            q = q + data.draw(wide_polys(d))
+        axis = tuple(
+            data.draw(
+                st.lists(
+                    st.sampled_from(HALFPLANE_POOL),
+                    min_size=1,
+                    max_size=HOLOMORPHY_AXIS_MAX[d],
+                    unique=True,
+                )
+            )
+        )
+        budgets = (1, ragged_budget(data.draw, len(axis), len(axis) ** (d - 1)), herglotz._BLOCK_POINTS)
+        results = under_budgets(budgets, lambda: holomorphy_sample_check(q, axis))
+        assert results == [results[0]] * 3
+
+    def test_scan_witness_in_ragged_last_block(self):
+        # Im f = Im z1 * P(x2) with P of 12 terms, least at x2 = 5/4, the
+        # last of 19 axis values; six runs per block leave it alone in the
+        # last. Summed pairwise, as numpy sums a one-row block, P(5/4)
+        # differs from the term-order sum in its last bit
+        coeffs = {(1, k): Fraction((-1) ** k * (k + 3), 7 + k) for k in range(12)}
+        f = RationalFunction(Polynomial(2, coeffs), Polynomial.one(2))
+        real_axis = tuple(x / 8 for x in range(-8, 11))
+        halfplane = (0.5 + 1j, 2j, -1 + 0.5j)
+        budgets = (1, 6 * len(halfplane), 6 * len(halfplane) + 2, herglotz._BLOCK_POINTS)
+        results = under_budgets(budgets, lambda: slice_scan(f, real_axis, halfplane))
+        assert results == [results[0]] * 4
+        report = results[0]
+        assert report.witness == (2j, 1.25 + 0j)
+        assert report.verdict == "fail"
+        ref_min, ref_witness, _, _ = reference_scan(f, real_axis, halfplane)
+        assert ref_witness == report.witness
+        assert abs(report.min_im - ref_min) <= MIN_IM_RTOL * abs(ref_min)
+
+    def test_first_holomorphy_zero_in_ragged_last_block(self):
+        # q = a^2 + b^2 vanishes only where a = b = 0 on this grid: at
+        # (2i, i), with z1 = 2i the last z1 value, alone in the last block
+        # of three runs, and z2 = i the fourth z2 value
+        q = poly("(z1^2 + 4)^2 + (z2^2 + 1)^2")
+        axis = (0.5 + 1j, -1 + 0.5j, 1 + 2j, 1j, 0.5 + 0.5j, -0.5 + 2j, 2j)
+        budgets = (1, 3 * len(axis), 3 * len(axis) + 5, herglotz._BLOCK_POINTS)
+        results = under_budgets(budgets, lambda: holomorphy_sample_check(q, axis))
+        assert results == [(False, (2j, 1j))] * 4
+        assert reference_holomorphy(q, axis) == (False, (2j, 1j))
 
 
 class TestCrosscheck:
