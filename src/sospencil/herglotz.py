@@ -6,7 +6,8 @@ values maps the upper half-plane into the closed upper half-plane. The
 scanner samples Im f on finite grids; it can refute the criterion with a
 witness but can only report "pass" up to grid resolution. The crosscheck
 pairs this scan with the exact SOS decision on the axis-1 Wronskian and
-reports whether the two sides agree.
+reports whether the two sides agree; it checks the scan grids before any
+other work.
 
 Everything here is floating point by design, and every grid value must
 be finite. Skipped points (denominator too small) are counted, never
@@ -153,6 +154,29 @@ def _product_point(axis, repeat, index):
     return tuple(reversed(digits))
 
 
+def _scan_grids(d, real_grid, halfplane_grid):
+    """The slice scan's grids in d variables, as (real_axis, halfplane)
+    tuples, defaults filled in; StructuralError unless d is positive and
+    the grids are nonempty and valid (see slice_scan)."""
+    if d == 0:
+        raise StructuralError("at least one variable is required")
+    real_axis = (
+        default_real_axis() if real_grid is None else tuple(float(x) for x in real_grid)
+    )
+    halfplane = (
+        default_halfplane_points()
+        if halfplane_grid is None
+        else tuple(complex(z) for z in halfplane_grid)
+    )
+    if not halfplane or (d > 1 and not real_axis):
+        raise StructuralError("scan grids must be nonempty")
+    for x in real_axis:
+        if not math.isfinite(x):
+            raise StructuralError(f"real grid value {x} is not finite")
+    _check_halfplane(halfplane, "half-plane")
+    return real_axis, halfplane
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """Outcome of one slice scan; witness attains min_im."""
@@ -176,22 +200,7 @@ def slice_scan(f, real_grid=None, halfplane_grid=None):
     if not isinstance(f, RationalFunction):
         raise StructuralError("slice_scan expects a RationalFunction")
     d = f.nvars
-    if d == 0:
-        raise StructuralError("at least one variable is required")
-    real_axis = (
-        default_real_axis() if real_grid is None else tuple(float(x) for x in real_grid)
-    )
-    halfplane = (
-        default_halfplane_points()
-        if halfplane_grid is None
-        else tuple(complex(z) for z in halfplane_grid)
-    )
-    if not halfplane or (d > 1 and not real_axis):
-        raise StructuralError("scan grids must be nonempty")
-    for x in real_axis:
-        if not math.isfinite(x):
-            raise StructuralError(f"real grid value {x} is not finite")
-    _check_halfplane(halfplane, "half-plane")
+    real_axis, halfplane = _scan_grids(d, real_grid, halfplane_grid)
 
     p_groups, q_groups = _z1_groups(f.p), _z1_groups(f.q)
     top = _top_exponent(f.p, f.q)
@@ -304,6 +313,7 @@ def crosscheck_slice_criterion(
             raise StructuralError(f"{name} must be a Polynomial")
     if p.nvars != q.nvars:
         raise StructuralError("p and q must share the variable count")
+    real_axis, halfplane = _scan_grids(p.nvars, real_grid, halfplane_grid)
     ok, bad_point = holomorphy_sample_check(q, holomorphy_grid)
     if not ok:
         raise PreconditionError(
@@ -316,7 +326,7 @@ def crosscheck_slice_criterion(
     certificate = outcome if isinstance(outcome, SosCertificate) else None
     evidence = outcome if isinstance(outcome, InfeasibilityEvidence) else None
 
-    scan = slice_scan(RationalFunction(p, q), real_grid, halfplane_grid)
+    scan = slice_scan(RationalFunction(p, q), real_axis, halfplane)
 
     if certificate is not None and scan.verdict == "pass":
         verdict = "AGREE_SOS_HERGLOTZ"

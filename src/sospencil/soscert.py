@@ -32,11 +32,14 @@ block-diagonal up to a permutation, with one block per set of basis
 monomials whose parities differ by an element of that span, and the
 exact PSD test runs per block.
 
-All numeric solves go through one deterministic numpy primal-dual interior
-point method (_ipm). Infeasibility is reported as numeric dual evidence (a
-witness W >= 0 with trace 1, orthogonal to the kernel directions, making
-<W, A0> negative), never as a proof, and only when the solve converged and
-the witness passes the EVIDENCE_TOL gate.
+Every numeric solve of a family with kernel directions goes through one
+deterministic numpy primal-dual interior point method (_ipm). A family with
+no directions needs no search: its max-min-eigenvalue problem is solved by
+one eigendecomposition per connected block of A0 (_least_eigenpair).
+Infeasibility is reported as numeric dual evidence (a witness W >= 0 with
+trace 1, orthogonal to the kernel directions, making <W, A0> negative),
+never as a proof, and only when the solve converged and the witness passes
+the EVIDENCE_TOL gate.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .exactlinalg import SymMatrix, is_psd, psd_factor, rref, solve_sparse
+from .exactlinalg import SymMatrix, _blocks, is_psd, psd_factor, rref, solve_sparse
 from .gramkernel import kernel_basis
 from .polarize import quadratic_form_polynomial
 from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
@@ -496,18 +499,51 @@ class _MaxMinEig:
     converged: bool
 
 
+def _least_eigenpair(A0, C):
+    """Least eigenvalue t of C = _to_array(A0) and W = v v^T, v a unit
+    eigenvector of t that lives on one connected block of A0.
+
+    Each connected component of A0's nonzero entries (exactlinalg._blocks)
+    is eigendecomposed on its own; an index with no entry is a 1 x 1 block
+    with eigenvalue 0. The block with the least eigenvalue wins, the one
+    with the smallest index on a tie. W is +0.0 outside that block's rows
+    and columns, so it keeps every block structure of A0 by construction.
+    """
+    size = C.shape[0]
+    members = [sorted({k for key, _ in entries for k in key}) for entries in _blocks(A0)]
+    covered = {k for block in members for k in block}
+    members += [[k] for k in range(size) if k not in covered]
+    best = None
+    for block in sorted(members):  # disjoint, so ordered by smallest index
+        values, vectors = np.linalg.eigh(C[np.ix_(block, block)])
+        if best is None or values[0] < best[0]:
+            best = (float(values[0]), block, vectors[:, 0])
+    t, block, v = best
+    W = np.zeros((size, size))
+    W[np.ix_(block, block)] = np.outer(v, v) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return t, W
+
+
 def _max_min_eig(A0, kernel_mats, size):
     """Solve the max-min-eigenvalue SDP over the Gram family.
 
     Its dual is  min <W, A0>  s.t.  W >= 0, tr W = 1, <W, S_i> = 0, so the
-    solver's primal matrix is the dual witness of infeasibility.
+    solver's primal matrix is the dual witness of infeasibility. With no
+    kernel directions the optimum t is the least eigenvalue of A0, with
+    the projector onto one of its unit eigenvectors as dual
+    (Vandenberghe-Boyd, SIAM Rev. 38, 1996), so _least_eigenpair takes
+    the place of _ipm.
     """
     fam = _Family(kernel_mats, size, identity=-1.0)
     C = _to_array(A0, size)
-    b = np.zeros(fam.count)
-    b[-1] = 1.0
-    y, X, converged = _ipm(C, fam, b)
-    W = X / np.trace(X)
+    if kernel_mats:
+        b = np.zeros(fam.count)
+        b[-1] = 1.0
+        y, X, converged = _ipm(C, fam, b)
+        W = X / np.trace(X)
+    else:
+        t, W = _least_eigenpair(A0, C)
+        y, converged = np.array([t]), True
     orthogonality = fam.inner(W)[:-1]
     residuals = {
         "kernel_orthogonality_max": float(np.abs(orthogonality).max(initial=0.0)),
@@ -708,8 +744,9 @@ def _full_family_evidence(F, basis, classes, reason=None):
     """Dual evidence against the Gram family of the whole basis.
 
     classes are the basis's sign-symmetric product classes
-    (_symmetric_classes), so the diagonal reduction is undone. The solver's
-    iterates keep the family's block structure, so the witness vanishes at
+    (_symmetric_classes), so the diagonal reduction is undone. Both solves
+    keep the family's block structure, _ipm in each iterate and
+    _least_eigenpair by construction, so the witness vanishes at
     every pair of a dropped class and is orthogonal to its kernel
     directions too.
     """

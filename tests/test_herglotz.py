@@ -477,3 +477,23 @@ class TestCrosscheck:
     def test_non_polynomial_rejected(self):
         with pytest.raises(StructuralError):
             crosscheck_slice_criterion("-1", poly("z1"))
+
+    @pytest.mark.parametrize(
+        "grids, message",
+        [
+            ({"real_grid": [math.nan]}, "not finite"),
+            ({"real_grid": [0.0, math.inf]}, "not finite"),
+            ({"halfplane_grid": [1j, 2.0 + 0j]}, "nonpositive imaginary part"),
+            ({"halfplane_grid": [1 - 1j]}, "nonpositive imaginary part"),
+            ({"halfplane_grid": [complex(0, math.nan)]}, "not finite"),
+            ({"halfplane_grid": []}, "nonempty"),
+        ],
+    )
+    def test_scan_grids_checked_before_exact_work(self, grids, message, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("ran before the scan grids were checked")
+
+        for name in ("holomorphy_sample_check", "wronskian", "sos_certify"):
+            monkeypatch.setattr(herglotz, name, must_not_run)
+        with pytest.raises(StructuralError, match=message):
+            crosscheck_slice_criterion(poly("-(z1 + z2)"), poly("z1*z2"), **grids)

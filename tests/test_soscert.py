@@ -481,6 +481,148 @@ class TestInteriorPoint:
         assert passed.margin == 1.0 and passed.dual_matrix is not None
 
 
+@st.composite
+def block_layouts(draw):
+    """(A0, copies): a rational SymMatrix of order 1..8 made of one random
+    block, placed once or twice with empty rows before, between and after.
+    Two copies are identical, so their least eigenvalues tie exactly."""
+    m = draw(st.integers(1, 8))
+    block = {}
+    for i in range(m):
+        for j in range(i, m):
+            if draw(st.booleans()):
+                block[i, j] = Fraction(
+                    draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3)))
+                )
+    count = draw(st.integers(1, 2 if 2 * m <= 8 else 1))
+    gaps = [draw(st.integers(0, 2)) for _ in range(count + 1)]
+    while count * m + sum(gaps) > 8:
+        gaps[gaps.index(max(gaps))] -= 1
+    A0 = SymMatrix(count * m + sum(gaps))
+    copies, offset = [], 0
+    for gap in gaps[:count]:
+        offset += gap
+        copies.append(range(offset, offset + m))
+        for (i, j), value in block.items():
+            A0.set(offset + i, offset + j, value)
+        offset += m
+    return A0, copies
+
+
+def components(A0):
+    """Connected components of A0's nonzero entries, empty rows alone,
+    ordered by their smallest index."""
+    comps = [{k} for k in range(A0.size)]
+    for (i, j), _ in A0.entries():
+        a = next(c for c in comps if i in c)
+        b = next(c for c in comps if j in c)
+        if a is not b:
+            a |= b
+            comps.remove(b)
+    return sorted(sorted(c) for c in comps)
+
+
+def assert_one_block_dual(W, A0):
+    """W is exact +0.0 outside the rows and columns of one component of A0."""
+    assert not np.any((W == 0) & np.signbit(W)), "W holds -0.0"
+    support = set(np.flatnonzero(np.any(W != 0, axis=1)).tolist())
+    owner = [c for c in components(A0) if support <= set(c)]
+    assert owner, f"W spans more than one block: {sorted(support)}"
+    return owner[0]
+
+
+class TestNoDirectionSolve:
+    """A family with no kernel directions is solved by eigendecomposition."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_layouts())
+    def test_matches_the_interior_point_method(self, layout):
+        A0, copies = layout
+        n = A0.size
+        solve = soscert._max_min_eig(A0, [], n)
+        C = soscert._to_array(A0, n)
+        y, _X, converged = soscert._ipm(
+            C, soscert._Family([], n, identity=-1.0), np.array([1.0])
+        )
+        assert converged and solve.converged and solve.lam == ()
+        assert abs(solve.t - y[-1]) <= 1e-8 * (1 + abs(y[-1]))
+        assert abs(solve.margin + solve.t) <= 1e-9
+        evidence = soscert._numeric_evidence(solve)
+        gate = "numeric dual failed the evidence gate: margin not positive"
+        assert evidence.reason == (None if solve.margin > 0 else gate)
+        # the dual lives on the first block, in index order, whose least
+        # eigenvalue is t; a tie never goes to the second copy
+        block = assert_one_block_dual(solve.dual, A0)
+        for other in components(A0):
+            low = np.linalg.eigh(C[np.ix_(other, other)])[0][0]
+            assert low > solve.t if other < block else low >= solve.t
+        assert np.linalg.eigh(C[np.ix_(block, block)])[0][0] == solve.t
+        if len(copies) == 2:
+            assert not solve.dual[list(copies[1])].any()
+
+    def test_zero_eigenvector_entry_gives_positive_zero(self):
+        # (1, 0, -1) / sqrt(2) spans the eigenspace of -3 in the block on
+        # rows 1..3; 0.0 * -0.707 is -0.0, so v v^T holds -0.0 as computed
+        block = {(1, 1): -1, (1, 2): 1, (1, 3): 2, (2, 2): 1, (2, 3): 1, (3, 3): -1}
+        A0 = SymMatrix(4, {key: Fraction(value) for key, value in block.items()})
+        solve = soscert._max_min_eig(A0, [], 4)
+        assert abs(solve.t + 3) <= 1e-12
+        assert assert_one_block_dual(solve.dual, A0) == [1, 2, 3]
+        assert np.allclose(solve.dual[1:, 1:], [[0.5, 0, -0.5], [0, 0, 0], [-0.5, 0, 0.5]])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2*z2 - z1^2",
+            # flipping z1 and z2 together fixes it; the full
+            # family's blocks are {1, z3} and {z1, z2}
+            "5 - 3*z3 + 2*z3^2 - 3*z1^2 + 2*z1*z2",
+        ],
+    )
+    def test_sign_symmetric_refutation(self, text, monkeypatch):
+        solves = []
+
+        def spy(A0, kernel_mats, size):
+            solves.append((A0, kernel_mats))
+            return max_min_eig(A0, kernel_mats, size)
+
+        def no_ipm(*args):
+            raise AssertionError("the interior point method ran")
+
+        max_min_eig = soscert._max_min_eig
+        monkeypatch.setattr(soscert, "_max_min_eig", spy)
+        monkeypatch.setattr(soscert, "_ipm", no_ipm)
+        F = poly(text)
+        ev = sos_certify(F)
+        assert isinstance(ev, InfeasibilityEvidence) and ev.margin > 0
+        [(A0, kernel_mats)] = solves
+        assert kernel_mats == [] and A0.size == len(default_basis(F))
+        W = np.array(ev.dual_matrix)
+        assert_one_block_dual(W, A0)
+        assert ev.margin == -float(np.vdot(W, soscert._to_array(A0, A0.size)))
+
+    def test_face_without_free_directions(self, monkeypatch):
+        # the face of the max-min-eig optimum pins the whole family down:
+        # the restricted solve has no directions and runs no _ipm
+        log = []
+        for name in ("_max_min_eig", "_ipm", "_face_step", "_vertex_hunt"):
+
+            def spy(*args, _name=name, _stage=getattr(soscert, name)):
+                directions = len(args[1]) if _name == "_max_min_eig" else None
+                log.append((_name, directions))
+                return _stage(*args)
+
+            monkeypatch.setattr(soscert, name, spy)
+        F = poly("196/9*z1^4 + z1^2*z2^2 + 140/3*z1^2*z2 + 10*z1*z2 + 25*z2^2 + 25")
+        assert_certifies(F, sos_certify(F))
+        assert log == [
+            ("_max_min_eig", 3),
+            ("_ipm", None),
+            ("_face_step", None),
+            ("_max_min_eig", 0),
+        ]
+
+
 class TestArtin:
     def test_candidate_list_order(self):
         F = poly(MOTZKIN)
