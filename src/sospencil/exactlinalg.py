@@ -432,15 +432,17 @@ def psd_factor(matrix):
     return perm, L, D
 
 
-def _blocks(matrix):
-    """The entries of a SymMatrix, one list per connected component.
+def _blocks(entries, size):
+    """Symmetric entries ((i, j), value) of an order-``size`` matrix, one
+    list per connected component.
 
     Indices i and j are connected when entry (i, j) is nonzero; the
     components come from a union-find with path halving, inlined. Indices
-    with no entry at all are in no component.
+    with no entry at all are in no component. ``entries`` is iterated
+    twice, so it must be a collection, such as SymMatrix.entries().
     """
-    parent = list(range(matrix.size))
-    for i, j in matrix._entries:
+    parent = list(range(size))
+    for (i, j), _ in entries:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         while parent[j] != j:
@@ -448,12 +450,26 @@ def _blocks(matrix):
         if i != j:
             parent[max(i, j)] = min(i, j)
     blocks = {}
-    for key, value in matrix._entries.items():
+    for key, value in entries:
         i = key[0]
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         blocks.setdefault(i, []).append((key, value))
     return list(blocks.values())
+
+
+def _is_psd_entries(entries, size):
+    """is_psd of the order-``size`` matrix with upper-triangle entries
+    ((i, j), value), each value a nonzero int or Fraction.
+
+    The test is scale-invariant, so integer numerators over any positive
+    common denominator may stand for the rational matrix.
+    """
+    for block in _blocks(entries, size):
+        members = sorted({k for key, _ in block for k in key})
+        if _symmetric_bareiss(_integer_matrix(block, members)[0]) is None:
+            return False
+    return True
 
 
 def is_psd(matrix):
@@ -466,8 +482,4 @@ def is_psd(matrix):
     """
     if not isinstance(matrix, SymMatrix):
         matrix = SymMatrix.from_dense(matrix)
-    for entries in _blocks(matrix):
-        members = sorted({k for (i, j), _ in entries for k in (i, j)})
-        if _symmetric_bareiss(_integer_matrix(entries, members)[0]) is None:
-            return False
-    return True
+    return _is_psd_entries(matrix.entries(), matrix.size)

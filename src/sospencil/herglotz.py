@@ -14,11 +14,13 @@ be finite. Skipped points (denominator too small) are counted, never
 silently dropped. The scan and the holomorphy sampler evaluate p and q in
 numpy over blocks of whole runs of the grid's outermost coordinate (all
 points sharing one of its values): as many runs as fit in _BLOCK_POINTS
-grid points, and never less than one run. Each point's sum over terms
-runs in term order whatever the block, so the block size never changes a
-result; a scan minimum may still differ in its last bits from per-point
-evaluation with Polynomial.eval_complex. The witness is the first minimum
-in itertools.product order of the grid.
+grid points, and never less than one run. The terms are summed over the
+other coordinates first and then multiplied by powers of z_1; every block
+of the holomorphy sampler has all of those rows, so it sums them once. Each
+point's sum over terms runs in term order whatever the block, so the block
+size never changes a result; a scan minimum may still differ in its last
+bits from per-point evaluation with Polynomial.eval_complex. The witness is
+the first minimum in itertools.product order of the grid.
 """
 
 from __future__ import annotations
@@ -100,30 +102,40 @@ def _power_table(values, top):
     return table
 
 
-def _block_values(groups, z1_table, tables):
-    """A polynomial's values over one grid block, as a (rows, columns) array.
+def _row_sums(groups, tables):
+    """(rows, sums): each z_1 group's terms summed at every row, as
+    [(e1, values over the rows)].
 
-    The columns are the z_1 values whose power table is z1_table. The rows
-    run, in itertools.product order, over the product of the values of
-    z_2..z_d whose power tables are tables. The terms sharing one exponent
-    of z_1 are summed over the rows first, then multiplied across the
-    columns by that power of z_1.
-
-    Each row sums its terms one by one in term order. numpy does so along
-    the slow axis of the (terms, rows) array, but sums the fast axis
-    pairwise, and with one row the term axis is the fast one; that case
-    accumulates instead, so a row's value does not depend on the block.
+    The rows run, in itertools.product order, over the product of the
+    values of z_2..z_d whose power tables are tables. Each row sums its
+    terms one by one in term order. numpy does so along the slow axis of
+    the (terms, rows) array, but sums the fast axis pairwise, and with one
+    row the term axis is the fast one; that case accumulates instead, so a
+    row's value does not depend on the block.
     """
     rows = math.prod(table.shape[1] for table in tables)
-    out = np.zeros((rows, z1_table.shape[1]), dtype=complex)
+    sums = []
     for e1, coeffs, exps in groups:
         factor = coeffs[:, None]
         for k, table in enumerate(tables):
             factor = (factor[:, :, None] * table[exps[:, k]][:, None, :]).reshape(
                 len(coeffs), -1
             )
-        sums = factor.sum(axis=0) if rows > 1 else np.add.accumulate(factor)[-1]
-        out += np.multiply.outer(sums, z1_table[e1])
+        sums.append((e1, factor.sum(axis=0) if rows > 1 else np.add.accumulate(factor)[-1]))
+    return rows, sums
+
+
+def _block_values(row_sums, z1_table):
+    """A polynomial's values over one grid block, as a (rows, columns) array.
+
+    row_sums is _row_sums over the block's rows; the columns are the z_1
+    values whose power table is z1_table. Each group's row sums are
+    multiplied across the columns by its power of z_1.
+    """
+    rows, sums = row_sums
+    out = np.zeros((rows, z1_table.shape[1]), dtype=complex)
+    for e1, values in sums:
+        out += np.multiply.outer(values, z1_table[e1])
     return out
 
 
@@ -217,13 +229,13 @@ def slice_scan(f, real_grid=None, halfplane_grid=None):
     skipped = 0
     for start, stop in _blocks(runs, rows * len(halfplane)):
         tables = [x_table[:, start:stop]] + [x_table] * (d - 2) if d > 1 else []
-        qv = _block_values(q_groups, z1_table, tables)
+        qv = _block_values(_row_sums(q_groups, tables), z1_table)
         keep = np.flatnonzero(np.abs(qv) > DENOMINATOR_THRESHOLD)
         samples += keep.size
         skipped += qv.size - keep.size
         if not keep.size:
             continue
-        pv = _block_values(p_groups, z1_table, tables)
+        pv = _block_values(_row_sums(p_groups, tables), z1_table)
         values = (pv.ravel()[keep] / qv.ravel()[keep]).imag
         first = int(np.argmin(values))
         value = float(values[first])
@@ -267,13 +279,14 @@ def holomorphy_sample_check(q, grid=None):
     if not axis:
         raise StructuralError("holomorphy grid must be nonempty")
     _check_halfplane(axis, "holomorphy")
-    groups = _z1_groups(q)
     table = _power_table(np.array(axis, dtype=complex), _top_exponent(q))
-    rows = len(axis) ** (d - 1)
     # a run holds the points sharing one value of z_1, the outermost
-    # coordinate of the product order: z_1 runs over the columns of a block
+    # coordinate of the product order: z_1 runs over the columns of a block.
+    # Every block has all of the z_2..z_d rows, so their sums are taken once
+    row_sums = _row_sums(_z1_groups(q), [table] * (d - 1))
+    rows = row_sums[0]
     for start, stop in _blocks(len(axis), rows):
-        values = _block_values(groups, table[:, start:stop], [table] * (d - 1))
+        values = _block_values(row_sums, table[:, start:stop])
         bad = np.flatnonzero(np.abs(values.T) <= DENOMINATOR_THRESHOLD)
         if bad.size:
             return False, _product_point(axis, d, start * rows + int(bad[0]))

@@ -33,13 +33,21 @@ monomials whose parities differ by an element of that span, and the
 exact PSD test runs per block.
 
 Every numeric solve of a family with kernel directions goes through one
-deterministic numpy primal-dual interior point method (_ipm). A family with
-no directions needs no search: its max-min-eigenvalue problem is solved by
-one eigendecomposition per connected block of A0 (_least_eigenpair).
+deterministic numpy primal-dual interior point method (_ipm), which factors
+X and Z together by stacked LAPACK calls. A family with no directions needs
+no search: its max-min-eigenvalue problem is solved by one
+eigendecomposition per connected block of A0 (_least_eigenpair).
 Infeasibility is reported as numeric dual evidence (a witness W >= 0 with
 trace 1, orthogonal to the kernel directions, making <W, A0> negative),
 never as a proof, and only when the solve converged and the witness passes
 the EVIDENCE_TOL gate.
+
+A numeric point lam is rounded to Fraction(x).limit_denominator(b) for
+each bound b in turn, all bounds from one continued-fraction expansion of
+each value (_roundings); a bound that gives the same rounding as the last
+one is skipped. Each rounded point A0 + sum lam_i S_i is summed on integer
+numerators over one common denominator (_affine_numerators), and the exact
+PSD test reads those numerators, so a failed rounding builds no Fraction.
 """
 
 from __future__ import annotations
@@ -58,7 +66,15 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .exactlinalg import SymMatrix, _blocks, is_psd, psd_factor, rref, solve_sparse
+from .exactlinalg import (
+    SymMatrix,
+    _blocks,
+    _is_psd_entries,
+    is_psd,
+    psd_factor,
+    rref,
+    solve_sparse,
+)
 from .gramkernel import kernel_basis
 from .polarize import quadratic_form_polynomial
 from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
@@ -215,6 +231,24 @@ def _symmetric_classes(F, monos):
     }
 
 
+def _alive_classes(classes, alive):
+    """The classes restricted to the pairs with both ends in alive (an
+    increasing index list), reindexed to positions in alive; classes left
+    with no pair are dropped. Over the monomials at alive, this is what
+    _symmetric_classes builds, pair order included."""
+    position = {i: k for k, i in enumerate(alive)}
+    out = {}
+    for beta, pairs in classes.items():
+        kept = [
+            (position[i], position[j])
+            for i, j in pairs
+            if i in position and j in position
+        ]
+        if kept:
+            out[beta] = kept
+    return out
+
+
 def _gram_over(F, monos, classes):
     """Particular Gram matrix over an arbitrary monomial list.
 
@@ -312,13 +346,84 @@ def _to_array(sym, size):
     return out
 
 
+def _affine_numerators(A0, kernel_mats, lam):
+    """(sums, den) with A0 + sum lam_i S_i = sums / den entrywise.
+
+    sums maps (i, j), i <= j, to a nonzero int, and den is the lcm of the
+    denominators of A0's entries and of each lam_i times its S_i's. The
+    terms with lam_i = 0 are skipped. The sums run in SymMatrix.add's
+    order: a key that cancels leaves, and comes back at the end if a later
+    term adds to it.
+    """
+    terms = [(x, S.entries()) for x, S in zip(lam, kernel_mats) if x]
+    den = math.lcm(
+        1,
+        *(v.denominator for _, v in A0.entries()),
+        *(x.denominator * v.denominator for x, entries in terms for _, v in entries),
+    )
+    sums = {key: v.numerator * (den // v.denominator) for key, v in A0.entries()}
+    for x, entries in terms:
+        xn, xd = x.numerator, x.denominator
+        for key, v in entries:
+            total = sums.get(key, 0) + xn * v.numerator * (den // (xd * v.denominator))
+            if total:
+                sums[key] = total
+            else:
+                del sums[key]
+    return sums, den
+
+
 def _affine_point(A0, kernel_mats, lam):
-    A = A0.copy()
-    for value, S in zip(lam, kernel_mats):
-        if value:
-            for (i, j), entry in S.entries():
-                A.add(i, j, value * entry)
-    return A
+    """A0 + sum lam_i S_i, one Fraction per nonzero entry (_affine_numerators)."""
+    sums, den = _affine_numerators(A0, kernel_mats, lam)
+    out = SymMatrix(A0.size)
+    out._entries = {key: Fraction(n, den) for key, n in sums.items()}
+    return out
+
+
+def _roundings(x, bounds):
+    """[Fraction(x).limit_denominator(b) for b in bounds], bounds increasing,
+    from one continued-fraction expansion of x.
+
+    This is limit_denominator's walk, resumed from bound to bound: it stops
+    before the first convergent p/q with q above the bound, and the answer
+    is the closer of the last convergent and the largest semiconvergent
+    within the bound, the convergent on a tie.
+    """
+    num, den = x.as_integer_ratio()
+    out = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    for bound in bounds:
+        if den <= bound:
+            out.append(Fraction(num, den))
+            continue
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        if 2 * d * (q0 + k * q1) <= den:
+            out.append(Fraction(p1, q1))
+        else:
+            out.append(Fraction(p0 + k * p1, q0 + k * q1))
+    return out
+
+
+def _rounded(values, bounds):
+    """The lists [Fraction(x).limit_denominator(b) for x in values] for b
+    in bounds, in order, each value expanded once (_roundings). A list
+    equal to the previous bound's is left out: its test would repeat."""
+    columns = [_roundings(x, bounds) for x in values]
+    previous = None
+    for k in range(len(bounds)):
+        rounded = [column[k] for column in columns]
+        if rounded != previous:
+            yield rounded
+        previous = rounded
 
 
 # -- numeric stage: one primal-dual interior point solver ---------------------
@@ -405,15 +510,18 @@ class _Family:
         return 0.5 * (M + M.T)
 
 
-def _inverse_cholesky(P):
-    """Li with Li P Li^T = I; raises LinAlgError unless P is positive definite."""
-    return np.linalg.inv(np.linalg.cholesky(P))
+def _inverse_choleskys(X, Z):
+    """L with L[0] X L[0]^T = I and L[1] Z L[1]^T = I, from one stacked
+    Cholesky and inverse; raises LinAlgError unless both are positive
+    definite."""
+    return np.linalg.inv(np.linalg.cholesky(np.stack((X, Z))))
 
 
-def _max_step(Li, D):
-    """Largest alpha with P + alpha D still PSD, Li the inverse Cholesky of P."""
-    low = float(np.linalg.eigvalsh(Li @ D @ Li.T)[0])
-    return math.inf if low >= 0 else -1.0 / low
+def _max_steps(L, dX, dZ):
+    """The largest alphas with X + alpha dX and Z + alpha dZ still PSD, L
+    from _inverse_choleskys(X, Z), from one stacked eigvalsh."""
+    low = np.linalg.eigvalsh(L @ np.stack((dX, dZ)) @ L.transpose(0, 2, 1))[:, 0]
+    return [math.inf if v >= 0 else -1.0 / float(v) for v in low]
 
 
 def _ipm(C, fam, b):
@@ -458,8 +566,8 @@ def _ipm(C, fam, b):
             break
         mu = gap / N
         try:
-            LX, LZ = _inverse_cholesky(X), _inverse_cholesky(Z)
-            Zi = LZ.T @ LZ
+            L = _inverse_choleskys(X, Z)
+            Zi = L[1].T @ L[1]
             M = fam.schur(X, Zi)
             XRdZi = X @ Rd @ Zi
 
@@ -471,13 +579,11 @@ def _ipm(C, fam, b):
                 return 0.5 * (dX + dX.T), dy, dZ
 
             dXa, _dya, dZa = direction(0.0, 0.0)
-            ap = min(1.0, _max_step(LX, dXa))
-            ad = min(1.0, _max_step(LZ, dZa))
+            ap, ad = (min(1.0, step) for step in _max_steps(L, dXa, dZa))
             mu_aff = float(np.vdot(X + ap * dXa, Z + ad * dZa)) / N
             sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
             dX, dy, dZ = direction(sigma * mu, dXa @ dZa @ Zi)
-            ap = min(1.0, _STEP_FRACTION * _max_step(LX, dX))
-            ad = min(1.0, _STEP_FRACTION * _max_step(LZ, dZ))
+            ap, ad = (min(1.0, _STEP_FRACTION * step) for step in _max_steps(L, dX, dZ))
         except np.linalg.LinAlgError:
             break
         X = X + ap * dX
@@ -510,7 +616,10 @@ def _least_eigenpair(A0, C):
     and columns, so it keeps every block structure of A0 by construction.
     """
     size = C.shape[0]
-    members = [sorted({k for key, _ in entries for k in key}) for entries in _blocks(A0)]
+    members = [
+        sorted({k for key, _ in entries for k in key})
+        for entries in _blocks(A0.entries(), size)
+    ]
     covered = {k for block in members for k in block}
     members += [[k] for k in range(size) if k not in covered]
     best = None
@@ -561,10 +670,11 @@ def _max_min_eig(A0, kernel_mats, size):
 
 
 def _round_lam(A0, kernel_mats, lam_floats):
-    """First rounding of lam (by growing denominator bound) that is PSD."""
-    for bound in _ROUND_BOUNDS:
-        lam = [Fraction(x).limit_denominator(bound) for x in lam_floats]
-        if is_psd(_affine_point(A0, kernel_mats, lam)):
+    """First rounding of lam (by growing denominator bound, see _rounded)
+    that is PSD. The exact PSD test reads the point's integer numerators,
+    so a failed rounding builds no Fraction."""
+    for lam in _rounded(lam_floats, _ROUND_BOUNDS):
+        if _is_psd_entries(_affine_numerators(A0, kernel_mats, lam)[0].items(), A0.size):
             return lam
     return None
 
@@ -673,9 +783,10 @@ def _face_step(A0, kernel_mats, size, lam_floats):
     Runs right after rounding the max-min-eig optimum fails; the vertex
     hunt is the fallback when this returns None. The near-kernel vectors of
     A(lam_floats) are rationalized with growing denominator bounds. For
-    each bound, A(lam) v = 0 is imposed exactly for every rational v (a
-    sparse integer system, see _face_system), the max-min-eig problem is
-    solved on that face, restricted to the coordinates outside the pivots
+    each bound that changes them (_rounded), A(lam) v = 0 is imposed
+    exactly for every rational v (a sparse integer system, see
+    _face_system), the max-min-eig problem is solved on that face,
+    restricted to the coordinates outside the pivots
     of the v (a symmetric matrix annihilating the v is PSD exactly when
     that restriction is), and its optimum is rounded. That optimum is
     positive definite on the restriction whenever the face allows, so the
@@ -689,10 +800,9 @@ def _face_step(A0, kernel_mats, size, lam_floats):
     reduced = _float_rref(eigvecs[:, eigvals < 1e-5 * scale].T)
     if reduced.size == 0:
         return None
-    for bound in _VECTOR_BOUNDS:
-        vectors = [
-            [Fraction(x).limit_denominator(bound) for x in row] for row in reduced
-        ]
+    width = reduced.shape[1]
+    for flat in _rounded(reduced.ravel(), _VECTOR_BOUNDS):
+        vectors = [flat[r:r + width] for r in range(0, len(flat), width)]
         rows, rhs = _face_system(A0, kernel_mats, vectors)
         solution = solve_sparse(rows, rhs, len(kernel_mats)) if rows else None
         if solution is None:
@@ -796,7 +906,7 @@ def sos_certify(F, basis=None):
             "negative value",
         )
     monos = [basis.monomials[i] for i in alive]
-    alive_classes = _symmetric_classes(F, monos)
+    alive_classes = _alive_classes(classes, alive)
     A0, missing = _gram_over(F, monos, alive_classes)
     if missing:
         return _full_family_evidence(

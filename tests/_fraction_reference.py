@@ -6,6 +6,10 @@ solver read off it, and pivoted LDL^T with complete diagonal pivoting
 computes the same results by fraction-free integer elimination; the tests
 require exact equality.
 
+The affine Gram point A0 + sum lam_i S_i is summed here entry by entry with
+``SymMatrix.add``. ``sospencil.soscert`` sums integer numerators over one
+common denominator; the tests require the same entries, in the same order.
+
 The pair pencil and the product polarization are built here from a fresh
 chain pencil per term pair, with every entry summed by ``SymMatrix.add``.
 ``sospencil.polarize`` memoizes the pair pencils and sums integer
@@ -105,6 +109,16 @@ def psd_factor(dense):
             for jj, j in enumerate(range(k + 1, n)):
                 A[i][j] -= column[ii] * column[jj] / d
     return perm, L, D
+
+
+def affine_point(A0, kernel_mats, lam):
+    """A0 + sum lam_i S_i, each product added by SymMatrix.add."""
+    A = A0.copy()
+    for value, S in zip(lam, kernel_mats):
+        if value:
+            for (i, j), entry in S.entries():
+                A.add(i, j, value * entry)
+    return A
 
 
 def pair_pencil(alpha, beta, basis):

@@ -9,10 +9,15 @@ from pathlib import Path
 import pytest
 
 import sospencil
-from sospencil import serialize
+from sospencil import serialize, soscert
 from sospencil.cli import main
 from sospencil.parsing import parse_polynomial
 from sospencil.soscert import artin_minimize
+
+
+DATA = Path(__file__).parent / "data"
+MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1"
+TERNARY_MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 + z3^6 - 3*z1^2*z2^2*z3^2"
 
 
 def run(capsys, *argv):
@@ -171,6 +176,33 @@ class TestArtin:
         code, doc = run_json(capsys, "artin", "-1", "--candidates", "z1")
         assert code == 1
         assert doc["status"] == "no_certificate_in_family"
+
+
+class TestGoldenDocuments:
+    """Documents pinned byte for byte. Both certificates come from a failed
+    rounding of the max-min-eig optimum, then a face step that rounds."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("sos", f"(z1^2 + z2^2)^2*({MOTZKIN})"), "sos_s2_motzkin.json"),
+            (("artin", TERNARY_MOTZKIN), "artin_ternary_motzkin.json"),
+        ],
+    )
+    def test_document_is_unchanged(self, capsys, monkeypatch, argv, name):
+        stages = []
+        for stage in ("_round_lam", "_face_step"):
+
+            def spy(*args, _name=stage, _stage=getattr(soscert, stage)):
+                result = _stage(*args)
+                stages.append((_name, result is not None))
+                return result
+
+            monkeypatch.setattr(soscert, stage, spy)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.encode() == (DATA / name).read_bytes()
+        assert ("_round_lam", False) in stages and ("_face_step", True) in stages
 
 
 class TestRealize:

@@ -249,6 +249,33 @@ class TestHolomorphyCheck:
         assert holomorphy_sample_check(q) == (True, None)
         assert reference_holomorphy(q, default_holomorphy_points()) == (True, None)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(z1 + z2 + 2*z3 + z4 + 1)*(z1 + 2*z2 + z3 + 3*z4 + 3)", (True, None)),
+            # (z1^2 + 4) + 3 (z4^2 + 1): on this grid, zero only where z1 = 2i
+            # (the 12th of 21 runs) and z4 = i
+            ("z1^2 + 3*z4^2 + 7", (False, (2j, -3 + 0.5j, -3 + 0.5j, 1j))),
+        ],
+    )
+    def test_four_variables_share_row_sums(self, text, expected, monkeypatch):
+        # 21^3 points per z1 run: each of the 21 blocks holds one run, and
+        # all of them use the one set of z2..z4 row sums
+        q = poly(text)
+        calls = []
+        row_sums = herglotz._row_sums
+
+        def spy(*args):
+            calls.append(args)
+            return row_sums(*args)
+
+        monkeypatch.setattr(herglotz, "_row_sums", spy)
+        axis = default_holomorphy_points()
+        assert len(herglotz._blocks(len(axis), len(axis) ** 3)) == 21
+        assert holomorphy_sample_check(q) == expected
+        assert len(calls) == 1
+        assert reference_holomorphy(q, axis) == expected
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_per_point_reference(self, data):

@@ -1,6 +1,7 @@
 """SOS certification: Gram families, exact certificates, dual evidence."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _fraction_reference as reference
 from _helpers import random_square_sum
 from sospencil.errors import (
     CapacityError,
     NotRepresentableError,
     PreconditionError,
 )
-from sospencil.exactlinalg import SymMatrix, is_psd
+from sospencil.exactlinalg import SymMatrix, _is_psd_entries, is_psd
 from sospencil.parsing import parse_polynomial
 from sospencil.polycore import Polynomial, build_basis, wronskian
 from sospencil import soscert
@@ -621,6 +623,229 @@ class TestNoDirectionSolve:
             ("_face_step", None),
             ("_max_min_eig", 0),
         ]
+
+# -- exact rounding on integers ------------------------------------------------
+
+ROUNDING_VALUES = st.one_of(
+    st.integers(-(10**6), 10**6).map(float),
+    # exact binary fractions, whose own denominator may be within a bound
+    st.builds(lambda k, m: k / 2**m, st.integers(-(2**20), 2**20), st.integers(0, 60)),
+    # within 1e-12 of a small rational
+    st.builds(
+        lambda p, q, eps: p / q + eps,
+        st.integers(-50, 50),
+        st.integers(1, 200),
+        st.floats(-1e-12, 1e-12),
+    ),
+    st.floats(-1e-300, 1e-300),  # tiny and subnormal values, +-0.0
+    st.just(-0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ROUNDING_BOUNDS = st.one_of(
+    st.sampled_from((soscert._ROUND_BOUNDS, soscert._VECTOR_BOUNDS)),
+    st.lists(
+        st.one_of(st.integers(1, 12), st.integers(1, 10**7)),
+        min_size=1,
+        max_size=5,
+        unique=True,
+    ).map(lambda bounds: tuple(sorted(bounds))),
+)
+
+
+class TestRoundings:
+    """One continued-fraction expansion gives every limit_denominator bound."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ROUNDING_VALUES, ROUNDING_BOUNDS, st.booleans())
+    def test_matches_limit_denominator(self, x, bounds, as_numpy):
+        if as_numpy:
+            x = np.float64(x)
+        got = soscert._roundings(x, bounds)
+        assert got == [Fraction(x).limit_denominator(b) for b in bounds]
+        assert all(type(r) is Fraction for r in got)
+
+    @pytest.mark.parametrize(
+        "x, bounds",
+        [
+            (0.5, (1,)),  # 0 and 1 tie: the floor
+            (0.25, (1, 2, 3)),  # 0 and 1/2 tie at bound 2
+            (-0.75, (1, 2, 3)),
+            (2.5, (1, 2)),
+            (0.375, (2, 4, 7, 8)),
+        ],
+    )
+    def test_ties(self, x, bounds):
+        assert soscert._roundings(x, bounds) == [
+            Fraction(x).limit_denominator(b) for b in bounds
+        ]
+
+    def test_repeated_rounding_is_left_out(self):
+        bounds = soscert._ROUND_BOUNDS
+        assert list(soscert._rounded([0.5, -0.25, 3.0], bounds)) == [
+            [Fraction(1, 2), Fraction(-1, 4), Fraction(3)]
+        ]
+        # 10/81 is the rounding of x for each bound from 100 on
+        for values in ([0.123456789], [0.123456789, math.pi]):
+            per_bound = [[Fraction(x).limit_denominator(b) for x in values] for b in bounds]
+            distinct = [r for k, r in enumerate(per_bound) if not k or r != per_bound[k - 1]]
+            assert list(soscert._rounded(values, bounds)) == distinct
+        assert len(distinct) == len(bounds) > len(list(soscert._rounded(values[:1], bounds)))
+
+    def test_round_lam_tests_each_distinct_rounding_once(self, monkeypatch):
+        tests = []
+
+        def spy(entries, size):
+            tests.append(dict(entries))
+            return False
+
+        monkeypatch.setattr(soscert, "_is_psd_entries", spy)
+        S = SymMatrix(2, {(0, 1): Fraction(1)})
+        assert soscert._round_lam(SymMatrix(2, {(0, 0): Fraction(1)}), [S], [0.5]) is None
+        assert tests == [{(0, 0): 2, (0, 1): 1}]
+
+
+@st.composite
+def star_families(draw):
+    """(A0, kernel_mats, lam): the star kernel of a random basis, a rational
+    A0 and lam with zero entries; A0 cancels some entries of the point."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 2))
+    basis = build_basis(degree, (degree,) * nvars)
+    size = len(basis)
+    kernel = soscert._star_kernel(soscert._pair_classes(basis.monomials), size)
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    lam = [draw(st.one_of(st.just(Fraction(0)), fractions)) for _ in kernel]
+    return cancelling_anchor(draw, size, kernel, lam, fractions), kernel, lam
+
+
+@st.composite
+def face_families(draw):
+    """(A0, free, mu): free directions built as the face step builds them,
+    from sparse rational vectors over a star kernel, with an anchor that
+    cancels some entries of the point."""
+    A0, kernel, _ = draw(star_families())
+    size = A0.size
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    free = []
+    for _ in range(draw(st.integers(0, 4))):
+        h = [draw(st.one_of(st.just(Fraction(0)), fractions)) for _ in kernel]
+        free.append(reference.affine_point(SymMatrix(size), kernel, h))
+    mu = [draw(st.one_of(st.just(Fraction(0)), fractions)) for _ in free]
+    return cancelling_anchor(draw, size, free, mu, fractions), free, mu
+
+
+def cancelling_anchor(draw, size, mats, lam, fractions):
+    """A random rational anchor, some diagonal shifted by 100 so that the
+    point can be PSD, and some entries set to cancel sum lam_i S_i."""
+    A0 = SymMatrix(size)
+    for i in range(size):
+        for j in range(i, size):
+            if draw(st.booleans()):
+                A0.set(i, j, draw(fractions))
+        if draw(st.booleans()):
+            A0.add(i, i, 100)
+    moving = reference.affine_point(SymMatrix(size), mats, lam)
+    for (i, j), value in moving.entries():
+        if draw(st.booleans()):
+            A0.set(i, j, -value)
+    return A0
+
+
+def assert_same_point(A0, mats, lam):
+    expected = reference.affine_point(A0, mats, lam)
+    got = soscert._affine_point(A0, mats, lam)
+    # the same Fractions, none zero, in SymMatrix.add's order
+    assert list(got.entries()) == list(expected.entries())
+    assert all(type(v) is Fraction and v for _, v in got.entries())
+    sums, den = soscert._affine_numerators(A0, mats, lam)
+    assert den > 0 and all(type(n) is int and n for n in sums.values())
+    assert {key: Fraction(n, den) for key, n in sums.items()} == dict(expected.entries())
+    assert _is_psd_entries(sums.items(), A0.size) == is_psd(expected)
+    return expected
+
+
+class TestAffinePoint:
+    """The integer Gram point equals the Fraction sum entry for entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(star_families())
+    def test_star_kernel_family(self, family):
+        assert_same_point(*family)
+
+    @settings(max_examples=100, deadline=None)
+    @given(face_families())
+    def test_face_step_family(self, family):
+        assert_same_point(*family)
+
+    @settings(max_examples=50, deadline=None)
+    @given(star_families())
+    def test_free_directions(self, family):
+        A0, kernel, lam = family
+        assert_same_point(SymMatrix(A0.size), kernel, lam)
+
+    def test_cancelled_entry_is_not_stored(self):
+        A0 = SymMatrix(2, {(0, 0): Fraction(1), (0, 1): Fraction(1, 2)})
+        S = SymMatrix(2, {(0, 1): Fraction(1), (1, 1): Fraction(-2)})
+        T = SymMatrix(2, {(0, 1): Fraction(3)})
+        point = assert_same_point(A0, [S, T], [Fraction(1, 4), Fraction(-1, 4)])
+        assert dict(point.entries()) == {(0, 0): 1, (1, 1): Fraction(-1, 2)}
+        zero_lam = assert_same_point(A0, [S, T], [Fraction(0), Fraction(0)])
+        assert zero_lam == A0
+
+
+class TestPairClassesOnce:
+    @pytest.mark.parametrize("F", sign_symmetric_inputs())
+    def test_alive_classes_match_a_fresh_build(self, F):
+        monos = default_basis(F).monomials
+        classes = soscert._symmetric_classes(F, monos)
+        alive, forced = soscert._diagonal_reduction(F, monos, classes)
+        if forced is not None:
+            return
+        fresh = soscert._symmetric_classes(F, [monos[i] for i in alive])
+        derived = soscert._alive_classes(classes, alive)
+        # the same classes, each with the same pairs in the same order
+        assert derived == {beta: pairs for beta, pairs in fresh.items() if pairs}
+
+    def test_one_build_per_call(self, monkeypatch):
+        calls = []
+        pair_classes = soscert._pair_classes
+
+        def spy(monos):
+            calls.append(len(monos))
+            return pair_classes(monos)
+
+        monkeypatch.setattr(soscert, "_pair_classes", spy)
+        F = poly(f"(z1^2 + z2^2)^2*({MOTZKIN})")
+        assert_certifies(F, sos_certify(F))
+        assert calls == [len(default_basis(F))]
+
+
+class TestStackedFactorizations:
+    """One stacked LAPACK call per pair gives the per-matrix results bitwise."""
+
+    @pytest.mark.parametrize("N", range(1, 31))
+    def test_bitwise_equal_to_per_matrix(self, N):
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            B, C, E, G = rng.standard_normal((4, N, N))
+            X, Z = B @ B.T + 0.1 * np.eye(N), C @ C.T + 0.1 * np.eye(N)
+            dX, dZ = E + E.T, G + G.T
+            L = soscert._inverse_choleskys(X, Z)
+            singles = [np.linalg.inv(np.linalg.cholesky(P)) for P in (X, Z)]
+            assert L[0].tobytes() == singles[0].tobytes()
+            assert L[1].tobytes() == singles[1].tobytes()
+            assert (L[1].T @ L[1]).tobytes() == (singles[1].T @ singles[1]).tobytes()
+            # a PSD direction never limits the step
+            for D in ((dX, dZ), (dX, B @ B.T), (C @ C.T, dZ)):
+                expected = []
+                for Li, Di in zip(singles, D):
+                    low = float(np.linalg.eigvalsh(Li @ Di @ Li.T)[0])
+                    expected.append(math.inf if low >= 0 else -1.0 / low)
+                assert soscert._max_steps(L, *D) == expected
+
+    def test_factorization_failure_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            soscert._inverse_choleskys(np.eye(2), -np.eye(2))
 
 
 class TestArtin:
