@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import serialize
-from .errors import NoCertificateError, ParseError, SospencilError
+from .errors import NoCertificateError, ParseError, SospencilError, StructuralError
 from .gramkernel import kernel_basis
 from .herglotz import (
     crosscheck_slice_criterion,
@@ -54,19 +54,32 @@ def _parse_all(texts):
     return [parse_polynomial(t, nvars) for t in texts], nvars
 
 
-def _csv_floats(text):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _number(convert, token, option):
+    """convert(token), or a StructuralError naming the option and the token."""
+    try:
+        return convert(token)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise StructuralError(f"{option}: {token!r} is not {kind}") from None
+
+
+def _csv_floats(text, option):
+    return [_number(float, x, option) for x in text.split(",") if x.strip() != ""]
 
 
 def _scan_grids(args):
     real_grid = None
     if args.xhat_values is not None:
-        real_grid = _csv_floats(args.xhat_values)
+        real_grid = _csv_floats(args.xhat_values, "--xhat-values")
     halfplane_grid = None
     if args.z1_real is not None or args.z1_imag is not None:
-        reals = _csv_floats(args.z1_real) if args.z1_real else default_real_axis()
+        reals = (
+            _csv_floats(args.z1_real, "--z1-real")
+            if args.z1_real
+            else default_real_axis()
+        )
         imags = (
-            _csv_floats(args.z1_imag)
+            _csv_floats(args.z1_imag, "--z1-imag")
             if args.z1_imag
             else sorted({z.imag for z in default_halfplane_points()})
         )
@@ -105,7 +118,7 @@ def _cmd_polarize(args):
 
 
 def _cmd_kernel_basis(args):
-    caps = tuple(int(x) for x in args.caps.split(","))
+    caps = tuple(_number(int, x, "--caps") for x in args.caps.split(","))
     basis = build_basis(args.n, caps)
     elements = kernel_basis(basis)
     _emit(

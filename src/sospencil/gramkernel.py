@@ -8,6 +8,11 @@ basis so that the auxiliary variable provides the connecting moves) and
 extends a single annihilating matrix to a full pencil (S_0, S_1, ..., S_d)
 with (S_0 + z_1 S_1 + ... + z_d S_d) Psi(z)^T identically zero.
 
+Each element records the four monomials its edge joins (its corners), and
+the completion places every element's block from those corners alone. The
+product classes come from _pair_classes, the one pair-class enumeration
+(soscert builds its Gram families from it too).
+
 The completion construction is sound but not complete. It completes a defect
 over a spanning forest of the moves that avoid the completion axis, the only
 moves with a per-element block completion, and fails honestly (with a
@@ -43,13 +48,13 @@ class PairClass:
 class KernelElement:
     """One spanning-tree edge of a product class, as an annihilating matrix.
 
-    ``move`` is the elementary transformation (r, l) in 1-based homogenized
-    variable positions (the auxiliary variable is position d+1): the member
-    ``u_index`` of ``plus_pair`` maps to a member of ``minus_pair`` under
-    exponent +1 at r, -1 at l. Triple kind means one pair is a squared
-    monomial (it carries the +2 diagonal entry and is stored as plus_pair
-    with a normalized move r < l); quad kind has four distinct monomials,
-    +1 on the tree-parent pair and -1 on the child.
+    The edge joins the pair (u, p) to the pair (v, c) of
+    ``corners = (u, p, v, c)`` by ``move`` = (r, l), an elementary
+    transformation in 1-based homogenized variable positions (the auxiliary
+    variable is position d+1) that sends u to v (exponent +1 at r, -1 at l)
+    and p to c. The matrix is w E_up - E_vc. Triple kind: (u, p) is a
+    squared monomial, w = 2 and the move is normalized to r < l. Quad kind:
+    four distinct monomials, w = 1, (u, p) the tree-parent pair.
     """
 
     matrix: SymMatrix
@@ -57,25 +62,26 @@ class KernelElement:
     kind: str
     support: tuple
     move: tuple
-    plus_pair: tuple
-    minus_pair: tuple
-    u_index: int
+    corners: tuple
+
+
+def _pair_classes(monos):
+    """Product exponents -> the pairs (i, j), i <= j, of monos multiplying to
+    them, in lexicographic order."""
+    classes = {}
+    for i in range(len(monos)):
+        for j in range(i, len(monos)):
+            prod = tuple(a + b for a, b in zip(monos[i], monos[j]))
+            classes.setdefault(prod, []).append((i, j))
+    return classes
 
 
 def pairs_for_beta(beta, basis):
     """Enumerate the unordered pairs of basis monomials multiplying to z^beta."""
     beta = tuple(beta)
-    if len(beta) != basis.nvars or any(not isinstance(e, int) or e < 0 for e in beta):
+    if len(beta) != basis.nvars or any(type(e) is not int or e < 0 for e in beta):
         raise StructuralError(f"bad product exponents {beta}")
-    pairs = []
-    for i, mono in enumerate(basis.monomials):
-        rest = tuple(b - m for b, m in zip(beta, mono))
-        if any(e < 0 for e in rest) or rest not in basis:
-            continue
-        j = basis.index_of(rest)
-        if j >= i:
-            pairs.append((i, j))
-    return PairClass(beta, tuple(pairs))
+    return PairClass(beta, tuple(_pair_classes(basis.monomials).get(beta, ())))
 
 
 def elementary_transform(exps, r, l, caps):
@@ -122,12 +128,7 @@ def _spanning_elements(basis, avoid_axis=None):
     hom = [_hom(m, n) for m in basis.monomials]
     hom_index = {h: i for i, h in enumerate(hom)}
     nhom = d + 1
-
-    classes = {}
-    for i in range(len(hom)):
-        for j in range(i, len(hom)):
-            prod = tuple(a + b for a, b in zip(hom[i], hom[j]))
-            classes.setdefault(prod, []).append((i, j))
+    classes = _pair_classes(hom)
 
     def transforms(pair):
         i, j = pair
@@ -149,14 +150,15 @@ def _spanning_elements(basis, avoid_axis=None):
                         or other2 not in hom_index
                     ):
                         continue
-                    neighbor = tuple(sorted((hom_index[u2], hom_index[other2])))
+                    v, c = hom_index[u2], hom_index[other2]
+                    neighbor = (min(v, c), max(v, c))
                     if neighbor == pair:
                         continue
-                    yield neighbor, u_idx, (r, l)
+                    yield neighbor, (u_idx, other_idx, v, c), (r, l)
 
     elements = []
     for prod in sorted(classes, key=basis_key):
-        pairs = sorted(classes[prod])
+        pairs = classes[prod]
         if len(pairs) < 2:
             continue
         beta = prod[:d]
@@ -170,13 +172,11 @@ def _spanning_elements(basis, avoid_axis=None):
             queue = deque([root])
             while queue:
                 node = queue.popleft()
-                for neighbor, u_idx, move in transforms(node):
+                for neighbor, corners, move in transforms(node):
                     if neighbor in reached:
                         continue
                     reached.add(neighbor)
-                    elements.append(
-                        _edge_element(node, neighbor, u_idx, move, beta, hom, basis)
-                    )
+                    elements.append(_edge_element(corners, move, beta, len(basis)))
                     queue.append(neighbor)
         if components > 1 and avoid_axis is None:
             raise InternalConsistencyError(
@@ -185,47 +185,24 @@ def _spanning_elements(basis, avoid_axis=None):
     return elements
 
 
-def _edge_element(parent, child, u_idx, move, beta, hom, basis):
-    N = len(basis)
+def _edge_element(corners, move, beta, N):
+    """The element of the BFS step from pair (u, p) to pair (v, c)."""
+    u, p, v, c = corners
+    r, l = move
+    if v == c:  # the squared pair goes first: walk the step backwards
+        u, p, v, c, r, l = v, c, u, p, l, r
+    if u == p and r > l:  # normalize to r < l: the opposite move swaps v and c
+        v, c, r, l = c, v, l, r
     matrix = SymMatrix(N)
-    squared = parent if parent[0] == parent[1] else (
-        child if child[0] == child[1] else None
-    )
-    if squared is not None:
-        mid = squared[0]
-        outer = child if squared is parent else parent
-        r, l = min(move), max(move)
-        t1 = _shift(hom[mid], r, l)
-        if t1 not in (hom[outer[0]], hom[outer[1]]):
-            raise InternalConsistencyError("triple element move normalization failed")
-        matrix.set(mid, mid, Fraction(2))
-        matrix.set(outer[0], outer[1], Fraction(-1))
-        return KernelElement(
-            matrix=matrix,
-            beta=beta,
-            kind="triple",
-            support=tuple(sorted({mid, outer[0], outer[1]})),
-            move=(r, l),
-            plus_pair=(mid, mid),
-            minus_pair=outer,
-            u_index=mid,
-        )
-    support = tuple(sorted({parent[0], parent[1], child[0], child[1]}))
-    if len(support) != 4:
-        raise InternalConsistencyError(
-            "quad element with coincident monomials; distinct pairs must not share"
-        )
-    matrix.set(parent[0], parent[1], Fraction(1))
-    matrix.set(child[0], child[1], Fraction(-1))
+    matrix.set(u, p, Fraction(2 if u == p else 1))
+    matrix.set(v, c, Fraction(-1))
     return KernelElement(
         matrix=matrix,
         beta=beta,
-        kind="quad",
-        support=support,
-        move=move,
-        plus_pair=parent,
-        minus_pair=child,
-        u_index=u_idx,
+        kind="triple" if u == p else "quad",
+        support=tuple(sorted({u, p, v, c})),
+        move=(r, l),
+        corners=(u, p, v, c),
     )
 
 
@@ -360,46 +337,27 @@ def defect_completion(S_last, basis, axis):
             f"z{axis} is completable)"
         ) from None
 
-    n = basis.total_cap
-    hom = [_hom(m, n) for m in basis.monomials]
+    # Each element's block completion, from its corners (u, p, v, c) and
+    # move (r, l): the axis monomials q2 = u + e_axis - e_l and
+    # q1 = p + e_axis - e_r pair with the corners in S_l and S_r, where the
+    # auxiliary variable's matrix is S_0. A pair entry folded onto the
+    # diagonal doubles up.
+    hom = [_hom(m, basis.total_cap) for m in basis.monomials]
     hom_index = {h: i for i, h in enumerate(hom)}
-    aux = d + 1
-
-    def bucket(var):
-        return matrices[0] if var == aux else matrices[var]
-
     for value, el in zip(lam, elements):
         if not value:
             continue
         r, l = el.move
-        assert axis not in (r, l)  # the forest skips axis moves
-        u = to_full[el.u_index]
-        plus = [to_full[i] for i in el.plus_pair]
-        minus = [to_full[i] for i in el.minus_pair]
-        p_other = plus[0] if plus[1] == u else plus[1]
-        v_h = _shift(hom[u], r, l)
-        if v_h is None or v_h not in hom_index:
-            raise InternalConsistencyError("kernel element move left the basis")
-        v = hom_index[v_h]
-        if v not in minus:
-            raise InternalConsistencyError("kernel element pairs are inconsistent")
-        c_other = minus[0] if minus[1] == v else minus[1]
-        q2_h = _shift(hom[u], axis, l)
-        q1_h = _shift(hom[p_other], axis, r)
-        if q2_h not in hom_index or q1_h not in hom_index:
-            raise InternalConsistencyError(
-                "completion support monomial escaped the basis"
-            )
-        q2, q1 = hom_index[q2_h], hom_index[q1_h]
-
-        def place(target, a, b, weight):
-            # a symmetric pair entry folded onto the diagonal doubles up
-            target.add(a, b, 2 * weight if a == b else weight)
-
-        place(bucket(l), q2, p_other, -value)
-        place(bucket(l), q1, v, value)
-        place(bucket(r), q2, c_other, value)
-        place(bucket(r), q1, u, -value)
+        u, p, v, c = (to_full[i] for i in el.corners)
+        q2 = hom_index[_shift(hom[u], axis, l)]
+        q1 = hom_index[_shift(hom[p], axis, r)]
+        for var, a, b, weight in (
+            (l, q2, p, -value),
+            (l, q1, v, value),
+            (r, q2, c, value),
+            (r, q1, u, -value),
+        ):
+            matrices[var % (d + 1)].add(a, b, 2 * weight if a == b else weight)
 
     pencil = SymmetricPencil(basis, tuple(matrices))
     for i, row in enumerate(pencil_row_action(pencil.matrices, basis)):

@@ -389,12 +389,12 @@ class MonomialBasis:
 
 def build_basis(total_cap, var_caps):
     """Enumerate the capped monomial basis in ascending graded reverse-lex order."""
-    if not isinstance(total_cap, int) or total_cap < 0:
+    if type(total_cap) is not int or total_cap < 0:
         raise StructuralError("total degree cap must be a nonnegative integer")
     var_caps = tuple(var_caps)
     if not var_caps:
         raise StructuralError("at least one variable is required")
-    if any(not isinstance(c, int) or c < 0 for c in var_caps):
+    if any(type(c) is not int or c < 0 for c in var_caps):
         raise StructuralError("per-variable caps must be nonnegative integers")
 
     monomials = []

@@ -75,7 +75,7 @@ from .exactlinalg import (
     rref,
     solve_sparse,
 )
-from .gramkernel import kernel_basis
+from .gramkernel import _pair_classes, kernel_basis
 from .polarize import quadratic_form_polynomial
 from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
 
@@ -182,15 +182,6 @@ def _diagonal_reduction(F, monos, classes):
             elif pinned < 0:
                 return sorted(alive), (i, pinned)
     return sorted(alive), None
-
-
-def _pair_classes(monos):
-    classes = {}
-    for i in range(len(monos)):
-        for j in range(i, len(monos)):
-            prod = tuple(a + b for a, b in zip(monos[i], monos[j]))
-            classes.setdefault(prod, []).append((i, j))
-    return classes
 
 
 def _parity(exps):

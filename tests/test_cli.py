@@ -18,6 +18,13 @@ from sospencil.soscert import artin_minimize
 DATA = Path(__file__).parent / "data"
 MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1"
 TERNARY_MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 + z3^6 - 3*z1^2*z2^2*z3^2"
+# a realization whose certified Gram matrix differs from B_1 on 6 entries,
+# so it completes a nonzero defect
+DEFECT_P = (
+    "z1^3 + 5*z1^2*z2 + 8*z1*z2^2 + 4*z2^3 + 2*z1^2 + 13/2*z1*z2"
+    " + 5*z2^2 - 29/4*z1 - 8*z2 - 31/4"
+)
+DEFECT_Q = "(z1 + z2 + 1/2)*(z1 + 2*z2 + 3)"
 
 
 def run(capsys, *argv):
@@ -180,7 +187,9 @@ class TestArtin:
 
 class TestGoldenDocuments:
     """Documents pinned byte for byte. Both certificates come from a failed
-    rounding of the max-min-eig optimum, then a face step that rounds."""
+    rounding of the max-min-eig optimum, then a face step that rounds; the
+    kernel basis lists triple and quad elements, and the realization
+    completes a nonzero defect."""
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -203,6 +212,18 @@ class TestGoldenDocuments:
         assert code == 0 and err == ""
         assert out.encode() == (DATA / name).read_bytes()
         assert ("_round_lam", False) in stages and ("_face_step", True) in stages
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("kernel-basis", "--n", "3", "--caps", "2,2,1"), "kernel_basis_n3_caps221.json"),
+            (("realize", DEFECT_P, DEFECT_Q, "1"), "realize_defect.json"),
+        ],
+    )
+    def test_kernel_and_realization_documents(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.encode() == (DATA / name).read_bytes()
 
 
 class TestRealize:
@@ -437,6 +458,24 @@ class TestPlumbing:
             main(["herglotz-scan", "-(z1+z2)", "z1*z2", "--z1", "0.5"])
         assert info.value.code == 2
         assert "ambiguous option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option, token",
+        [
+            (("kernel-basis", "--n", "2", "--caps", "1,x"), "--caps", "x"),
+            (("kernel-basis", "--n", "2", "--caps", ""), "--caps", ""),
+            (("herglotz-scan", "-1", "z1", "--xhat-values", "0,abc"), "--xhat-values", "abc"),
+            (("herglotz-scan", "-1", "z1", "--z1-real", "a"), "--z1-real", "a"),
+            (("crosscheck", "-1", "z1", "--z1-imag", "b"), "--z1-imag", "b"),
+        ],
+    )
+    def test_malformed_number_is_structured(self, capsys, argv, option, token):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "StructuralError"
+        assert option in error["message"] and repr(token) in error["message"]
 
     def test_parse_error_structured(self, capsys):
         code, out, err = run(capsys, "sos", "z1 +")

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from sospencil.errors import PreconditionError
+from sospencil import soscert
+from sospencil.errors import PreconditionError, StructuralError
 from sospencil.exactlinalg import SymMatrix, sparse_rank
 from sospencil.gramkernel import (
+    _pair_classes,
+    _spanning_elements,
     defect_completion,
     elementary_transform,
     kernel_basis,
@@ -17,6 +20,15 @@ from sospencil.gramkernel import (
 )
 from sospencil.polarize import pencil_row_action, quadratic_form_polynomial
 from sospencil.polycore import Polynomial, build_basis
+
+
+# every basis with d <= 3, per-variable caps <= 3 and total cap <= 4
+CENSUS = [
+    (total, caps)
+    for d in (1, 2, 3)
+    for caps in itertools.product(range(4), repeat=d)
+    for total in range(5)
+]
 
 
 def vectorize(matrix):
@@ -49,6 +61,26 @@ class TestPairsAndTransforms:
         got = pairs_for_beta(beta, basis)
         assert sorted(got.pairs) == expected
         assert got.beta == beta
+
+    @pytest.mark.parametrize("beta", [(True, 0), (1, False), (1.0, 1), (-1, 3), (1,)])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(StructuralError):
+            pairs_for_beta(beta, build_basis(2, (2, 2)))
+
+    def test_pairs_match_brute_force_on_census(self):
+        for total, caps in CENSUS:
+            basis = build_basis(total, caps)
+            monos = basis.monomials
+            products = {}
+            for i, j in itertools.combinations_with_replacement(range(len(monos)), 2):
+                beta = tuple(a + b for a, b in zip(monos[i], monos[j]))
+                products.setdefault(beta, []).append((i, j))
+            for beta, pairs in products.items():
+                assert pairs_for_beta(beta, basis).pairs == tuple(pairs)
+            assert pairs_for_beta((2 * total + 1,) + caps[1:], basis).pairs == ()
+
+    def test_one_pair_class_enumeration(self):
+        assert soscert._pair_classes is _pair_classes
 
     def test_elementary_transform_moves_one_unit(self):
         assert elementary_transform((1, 0), 2, 1, (1, 1)) == (0, 1)
@@ -85,6 +117,67 @@ class TestKernelBasis:
     @pytest.mark.parametrize("caps,total", [((2, 2), 2), ((3,), 3), ((1, 1, 1), 3), ((2, 1), 3)])
     def test_oracle_and_independence(self, caps, total):
         assert_kernel_properties(build_basis(total, caps))
+
+
+def unit_shift(exps, inc, dec):
+    """exps + e_inc - e_dec, 1-based positions."""
+    return tuple(
+        e + (k + 1 == inc) - (k + 1 == dec) for k, e in enumerate(exps)
+    )
+
+
+def assert_corners(element, basis, avoid_axis=None):
+    """The element is the edge its corners and move say it is."""
+    u, p, v, c = element.corners
+    r, l = element.move
+    hom = [m + (basis.total_cap - sum(m),) for m in basis.monomials]
+    assert hom[v] == unit_shift(hom[u], r, l)
+    assert hom[c] == unit_shift(hom[p], l, r)
+    assert element.beta == tuple(
+        a + b for a, b in zip(basis.monomials[u], basis.monomials[p])
+    )
+    triple = u == p
+    assert element.kind == ("triple" if triple else "quad")
+    assert element.support == tuple(sorted({u, p, v, c}))
+    assert len(element.support) == (3 if triple else 4)
+    # w E_up - E_vc, the plus pair first
+    assert list(element.matrix.entries()) == [
+        ((min(u, p), max(u, p)), Fraction(2 if triple else 1)),
+        ((min(v, c), max(v, c)), Fraction(-1)),
+    ]
+    if triple:
+        assert r < l
+    if avoid_axis is not None:
+        assert avoid_axis not in (r, l)
+
+
+class TestCorners:
+    def test_kernel_basis_corners(self):
+        for total, caps in CENSUS:
+            basis = build_basis(total, caps)
+            for el in kernel_basis(basis):
+                assert_corners(el, basis)
+
+    def test_avoid_axis_corners(self):
+        for total, caps in CENSUS:
+            basis = build_basis(total, caps)
+            for axis in range(1, len(caps) + 2):
+                for el in _spanning_elements(basis, avoid_axis=axis):
+                    assert_corners(el, basis, avoid_axis=axis)
+
+    def test_reference_corners(self):
+        # 1, z1, z1^2: the squared z1 comes first, and the move raises the
+        # lower-numbered variable z1 at the auxiliary variable's expense
+        (el,) = kernel_basis(build_basis(2, (2,)))
+        assert el.corners == (1, 1, 2, 0)
+        assert el.move == (1, 2)
+        # the multiaffine basis 1, z1, z2, z1*z2 has one relation: 1 * z1z2 = z1 * z2
+        (el,) = kernel_basis(build_basis(2, (1, 1)))
+        assert el.kind == "quad"
+        assert {frozenset(el.corners[:2]), frozenset(el.corners[2:])} == {
+            frozenset((0, 3)),
+            frozenset((1, 2)),
+        }
 
 
 class TestDefectCompletion:

@@ -235,6 +235,21 @@ class TestBases:
         assert len(build_basis(3, (3, 3, 3)).monomials) == 20
         assert len(build_basis(0, (0,)).monomials) == 1
 
+    @pytest.mark.parametrize(
+        "total, caps",
+        [
+            (True, (True, False)),  # would serialize "total_cap": true
+            (True, (1, 1)),
+            (2, (2, False)),
+            (-1, (1,)),
+            (2, (1.0,)),
+            (2, ()),
+        ],
+    )
+    def test_bad_caps_rejected(self, total, caps):
+        with pytest.raises(StructuralError):
+            build_basis(total, caps)
+
 
 class TestGcd:
     def test_divexact_inverts_product(self):
