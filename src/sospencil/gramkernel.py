@@ -35,6 +35,10 @@ from .exactlinalg import SymMatrix, solve_sparse, sparse_rank
 from .polarize import SymmetricPencil, pencil_row_action, quadratic_form_polynomial
 from .polycore import MonomialBasis, basis_key, build_basis
 
+# Largest basis over which a Gram family is built: kernel_basis here, and
+# sos_certify in soscert. The family has about N^2 / 2 pairs.
+GRAM_CAPACITY = 120
+
 
 @dataclass(frozen=True)
 class PairClass:
@@ -206,9 +210,18 @@ def _edge_element(corners, move, beta, N):
     )
 
 
+def _check_capacity(N):
+    """Raise CapacityError for a Gram family over more than GRAM_CAPACITY
+    basis monomials."""
+    if N > GRAM_CAPACITY:
+        raise CapacityError(f"Gram basis has {N} monomials, capacity {GRAM_CAPACITY}")
+
+
 def kernel_basis(basis):
     """Canonical basis of {S symmetric : Psi S Psi^T = 0}, one element per
-    spanning-tree edge; count per product class is (number of pairs) - 1."""
+    spanning-tree edge; count per product class is (number of pairs) - 1.
+    Raises CapacityError above GRAM_CAPACITY basis monomials."""
+    _check_capacity(len(basis))
     return _spanning_elements(basis, avoid_axis=None)
 
 

@@ -8,17 +8,16 @@ always an exact rational LDL^T with complete diagonal pivoting.
 
 Before any numerics, monomials whose squared product class pins the
 corresponding diagonal entry to zero are eliminated iteratively (a zero
-diagonal in a PSD matrix forces its whole row to vanish). This keeps the
-search family small and removes the worst rank degeneracies; when a diagonal
-is pinned to a negative value the elimination already yields an exact dual
-witness of infeasibility. When the numeric optimum lands on a singular face
-that rounding does not resolve, one step of partial facial reduction
-(Permenter-Parrilo, Math. Prog. 171, 2018) follows: the near-kernel vectors
-v of the numeric optimum are rationalized, A(lam) v = 0 is imposed exactly
-as a sparse integer system, and the search is solved and rounded once more
-on that face. Only when that finds nothing does the vertex hunt run: it
-rounds extreme points of the PSD slice, which also reaches faces that have
-no rational description.
+diagonal in a PSD matrix forces its whole row to vanish); a diagonal pinned
+to a negative value is already an exact dual witness of infeasibility. One
+chain, _solve_family, then searches the family: it imposes any known exact
+zeros v (A(lam) v = 0, a sparse integer system), solves, rounds and lifts.
+When the optimum lands on a singular face that rounding does not resolve,
+the face step (partial facial reduction, Permenter-Parrilo, Math. Prog.
+171, 2018) feeds the rationalized near-kernel vectors of the optimum to
+that chain as zeros. Only when that finds nothing does the vertex hunt run:
+it rounds extreme points of the PSD slice, which also reaches faces that
+have no rational description.
 
 The search also uses F's sign symmetries (Gatermann-Parrilo, J. Pure Appl.
 Algebra 192, 2004; Lofberg, IEEE TAC 54, 2009). Flipping the signs of a set
@@ -60,7 +59,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    CapacityError,
     InternalConsistencyError,
     NotRepresentableError,
     PreconditionError,
@@ -75,11 +73,10 @@ from .exactlinalg import (
     rref,
     solve_sparse,
 )
-from .gramkernel import _pair_classes, kernel_basis
+from .gramkernel import GRAM_CAPACITY, _check_capacity, _pair_classes, kernel_basis
 from .polarize import quadratic_form_polynomial
 from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
 
-GRAM_CAPACITY = 120
 ARTIN_MAX_POWER = 3
 
 # Numeric dual evidence is reported only when the solver converged, the
@@ -673,14 +670,13 @@ def _round_lam(A0, kernel_mats, lam_floats):
 def _vertex_hunt(A0, kernel_mats, size, t):
     """Round minimizers of weighted-trace objectives over the PSD slice.
 
-    The fallback after _face_step. When the max-min-eig optimum sits on a
-    face whose common kernel is irrational, the face step has no rational
-    vectors to impose, but linear objectives still pick out extreme points,
-    and those are often exactly the rational low-rank Gram matrices we are
-    after. The slice is relaxed to A(lam) >= -delta I with delta =
-    max(0, -t) + _HUNT_SLACK so that it has an interior even when the Gram
-    family touches the PSD cone only on a face. Returns the rounded lam or
-    None.
+    The fallback after _face_step. On a face whose common kernel is
+    irrational the face step has no rational vectors to impose, but linear
+    objectives still pick out extreme points, often exactly the rational
+    low-rank Gram matrices sought. The slice is relaxed to A(lam) >= -delta
+    I with delta = max(0, -t) + _HUNT_SLACK so that it has an interior even
+    when the family touches the PSD cone only on a face. Returns an exact
+    PSD Gram matrix or None.
     """
     if not kernel_mats:
         return None
@@ -696,7 +692,7 @@ def _vertex_hunt(A0, kernel_mats, size, t):
         y, _X, _converged = _ipm(C, fam, -fam.inner(np.diag(w)))
         lam = _round_lam(A0, kernel_mats, y)
         if lam is not None:
-            return lam
+            return _affine_point(A0, kernel_mats, lam)
     return None
 
 
@@ -768,22 +764,44 @@ def _face_system(A0, kernel_mats, vectors):
     return rows, rhs
 
 
+def _solve_family(A0, kernel_mats, size, zeros=()):
+    """The one search of a Gram family A0 + sum lam_i S_i.
+
+    The exact vectors v in zeros are imposed first (A(lam) v = 0, see
+    _face_system), and the search runs on the coordinates outside their
+    pivots (a symmetric matrix annihilating them is PSD exactly when that
+    restriction is). The max-min-eig optimum is rounded and lifted back.
+    Returns (gram, solve): an exact PSD member or None, and the _MaxMinEig
+    the search ended on; (None, None) when no member annihilates the zeros.
+    """
+    family = A0, kernel_mats
+    if zeros:
+        solution = solve_sparse(*_face_system(A0, kernel_mats, zeros), len(kernel_mats))
+        if solution is None:
+            return None, None
+        lam_p, H = solution
+        A0 = _affine_point(A0, kernel_mats, lam_p)
+        kernel_mats = [_affine_point(SymMatrix(size), kernel_mats, h) for h in H]
+        pivots = set(rref(zeros)[1])
+        keep = {j: k for k, j in enumerate(j for j in range(size) if j not in pivots)}
+        size = len(keep)
+        family = A0.reindexed(keep, size), [S.reindexed(keep, size) for S in kernel_mats]
+    solve = _max_min_eig(*family, size)
+    if solve.t < -_INFEAS_TOL:
+        return None, solve
+    lam = _round_lam(*family, solve.lam)
+    return (None if lam is None else _affine_point(A0, kernel_mats, lam)), solve
+
+
 def _face_step(A0, kernel_mats, size, lam_floats):
     """One step of partial facial reduction at a near-singular optimum.
 
-    Runs right after rounding the max-min-eig optimum fails; the vertex
-    hunt is the fallback when this returns None. The near-kernel vectors of
-    A(lam_floats) are rationalized with growing denominator bounds. For
-    each bound that changes them (_rounded), A(lam) v = 0 is imposed
-    exactly for every rational v (a sparse integer system, see
-    _face_system), the max-min-eig problem is solved on that face,
-    restricted to the coordinates outside the pivots
-    of the v (a symmetric matrix annihilating the v is PSD exactly when
-    that restriction is), and its optimum is rounded. That optimum is
-    positive definite on the restriction whenever the face allows, so the
-    certificate tends to have the face's full rank, where the vertex hunt
-    would find an extreme point of lower rank. Returns an exact PSD Gram
-    matrix or None.
+    Runs after rounding the max-min-eig optimum fails, before the vertex
+    hunt. The near-kernel vectors of A(lam_floats) are rationalized at each
+    denominator bound that changes them (_rounded) and go to _solve_family
+    as zeros. Its optimum has the face's full rank whenever the face
+    allows, where the hunt finds an extreme point of lower rank. Returns an
+    exact PSD Gram matrix or None.
     """
     A = _to_array(A0, size) + _Family(kernel_mats, size).combine(lam_floats)
     eigvals, eigvecs = np.linalg.eigh(A)
@@ -794,23 +812,9 @@ def _face_step(A0, kernel_mats, size, lam_floats):
     width = reduced.shape[1]
     for flat in _rounded(reduced.ravel(), _VECTOR_BOUNDS):
         vectors = [flat[r:r + width] for r in range(0, len(flat), width)]
-        rows, rhs = _face_system(A0, kernel_mats, vectors)
-        solution = solve_sparse(rows, rhs, len(kernel_mats)) if rows else None
-        if solution is None:
-            continue
-        lam_p, H = solution
-        anchored = _affine_point(A0, kernel_mats, lam_p)
-        pivots = set(rref(vectors)[1])
-        keep = {j: k for k, j in enumerate(j for j in range(size) if j not in pivots)}
-        free = [_affine_point(SymMatrix(size), kernel_mats, h) for h in H]
-        anchored_r = anchored.reindexed(keep, len(keep))
-        free_r = [S.reindexed(keep, len(keep)) for S in free]
-        solve = _max_min_eig(anchored_r, free_r, len(keep))
-        if solve.t < -_INFEAS_TOL:
-            continue
-        mu = _round_lam(anchored_r, free_r, solve.lam)
-        if mu is not None:
-            return _affine_point(anchored, free, mu)
+        gram, _solve = _solve_family(A0, kernel_mats, size, zeros=vectors)
+        if gram is not None:
+            return gram
     return None
 
 
@@ -866,6 +870,10 @@ def sos_certify(F, basis=None):
         raise StructuralError("sos_certify expects a Polynomial")
     if F.nvars == 0:  # constants live in a one-variable ring for basis purposes
         F = Polynomial(1, {(0,): v for _, v in F.terms()})
+    if basis is not None and not isinstance(basis, MonomialBasis):
+        raise StructuralError("basis must be a MonomialBasis")
+    if basis is not None and basis.nvars != F.nvars:
+        raise StructuralError("polynomial and basis arities differ")
     d = F.nvars
     if F.is_zero():
         if basis is None:
@@ -881,10 +889,7 @@ def sos_certify(F, basis=None):
         caps = tuple(-(-int(max(F.degree_in(k + 1), 0)) // 2) for k in range(d))
         basis = build_basis(degree // 2, caps)
     N = len(basis)
-    if N > GRAM_CAPACITY:
-        raise CapacityError(
-            f"Gram basis has {N} monomials, capacity {GRAM_CAPACITY}"
-        )
+    _check_capacity(N)
 
     classes = _symmetric_classes(F, basis.monomials)
     alive, forced = _diagonal_reduction(F, basis.monomials, classes)
@@ -914,21 +919,16 @@ def sos_certify(F, basis=None):
 
     gram = A0 if is_psd(A0) else None
     if gram is None:
-        solve = _max_min_eig(A0, kernel_mats, len(monos))
+        gram, solve = _solve_family(A0, kernel_mats, len(monos))
         if solve.t < -_INFEAS_TOL:
             if len(alive) == N:
                 return _numeric_evidence(solve)
             # report evidence against the full requested family
             return _full_family_evidence(F, basis, classes)
-        lam = _round_lam(A0, kernel_mats, solve.lam)
-        if lam is not None:
-            gram = _affine_point(A0, kernel_mats, lam)
-        else:
+        if gram is None:
             gram = _face_step(A0, kernel_mats, len(monos), solve.lam)
         if gram is None:
-            lam = _vertex_hunt(A0, kernel_mats, len(monos), solve.t)
-            if lam is not None:
-                gram = _affine_point(A0, kernel_mats, lam)
+            gram = _vertex_hunt(A0, kernel_mats, len(monos), solve.t)
         if gram is None:
             # a near-feasible optimum is no evidence of infeasibility
             return InfeasibilityEvidence(

@@ -75,6 +75,12 @@ class TestKernelBasis:
         assert code == 0
         assert doc["count"] == 0
 
+    def test_capacity_exit_two(self, capsys):
+        # N = 165 basis monomials, above GRAM_CAPACITY
+        code, out, err = run(capsys, "kernel-basis", "--n", "8", "--caps", "8,8,8")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "CapacityError"
+
 
 class TestSos:
     def test_certificate_exit_zero(self, capsys):
@@ -186,10 +192,12 @@ class TestArtin:
 
 
 class TestGoldenDocuments:
-    """Documents pinned byte for byte. Both certificates come from a failed
-    rounding of the max-min-eig optimum, then a face step that rounds; the
-    kernel basis lists triple and quad elements, and the realization
-    completes a nonzero defect."""
+    """Documents pinned byte for byte. The s^2 M and ternary Motzkin
+    certificates come from a failed rounding of the max-min-eig optimum,
+    then a face step that rounds; sample #42's comes from the vertex hunt,
+    and the 196/9 input's from a face with no free direction. The kernel
+    basis lists triple and quad elements, and the realization completes a
+    nonzero defect."""
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -212,6 +220,41 @@ class TestGoldenDocuments:
         assert code == 0 and err == ""
         assert out.encode() == (DATA / name).read_bytes()
         assert ("_round_lam", False) in stages and ("_face_step", True) in stages
+
+    @pytest.mark.parametrize(
+        "text, name, path",
+        [
+            # criterion-5 sample #42: no rational face, so the vertex hunt
+            # finds the certificate
+            pytest.param(
+                "(-4/3*z1^2 + 4*z1*z2 - 9/2*z2)^2 + (-5*z1*z2 + 7/2)^2",
+                "sos_hunt_sample42.json",
+                [("_face_step", False), ("_vertex_hunt", True)],
+                id="sample42",
+            ),
+            # the face step's face leaves no free direction
+            pytest.param(
+                "196/9*z1^4 + z1^2*z2^2 + 140/3*z1^2*z2 + 10*z1*z2 + 25*z2^2 + 25",
+                "sos_face_no_directions.json",
+                [("_face_step", True)],
+                id="face_no_directions",
+            ),
+        ],
+    )
+    def test_hunt_and_face_documents(self, capsys, monkeypatch, text, name, path):
+        stages = []
+        for stage in ("_face_step", "_vertex_hunt"):
+
+            def spy(*args, _name=stage, _stage=getattr(soscert, stage)):
+                result = _stage(*args)
+                stages.append((_name, result is not None))
+                return result
+
+            monkeypatch.setattr(soscert, stage, spy)
+        code, out, err = run(capsys, "sos", text)
+        assert code == 0 and err == ""
+        assert out.encode() == (DATA / name).read_bytes()
+        assert stages == path
 
     @pytest.mark.parametrize(
         "argv, name",

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sospencil import soscert
-from sospencil.errors import PreconditionError, StructuralError
+from sospencil import gramkernel, soscert
+from sospencil.errors import CapacityError, PreconditionError, StructuralError
 from sospencil.exactlinalg import SymMatrix, sparse_rank
 from sospencil.gramkernel import (
     _pair_classes,
@@ -103,6 +103,13 @@ class TestKernelBasis:
         expected.set(1, 1, Fraction(2))
         assert elements[0].matrix == expected
         assert elements[0].kind == "triple"
+
+    def test_capacity(self):
+        # one capacity for a Gram family over a basis, shared with sos_certify
+        assert soscert.GRAM_CAPACITY == gramkernel.GRAM_CAPACITY == 120
+        assert len(kernel_basis(build_basis(7, (7, 7, 7)))) > 0  # N = 120
+        with pytest.raises(CapacityError, match="165 monomials, capacity 120"):
+            kernel_basis(build_basis(8, (8, 8, 8)))
 
     def test_trivial_bases_have_empty_kernel(self):
         for caps in ((0,), (1,), (1, 1)):

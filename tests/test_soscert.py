@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -16,8 +17,9 @@ from sospencil.errors import (
     CapacityError,
     NotRepresentableError,
     PreconditionError,
+    StructuralError,
 )
-from sospencil.exactlinalg import SymMatrix, _is_psd_entries, is_psd
+from sospencil.exactlinalg import SymMatrix, _is_psd_entries, is_psd, nullspace, solve_sparse
 from sospencil.parsing import parse_polynomial
 from sospencil.polycore import Polynomial, build_basis, wronskian
 from sospencil import soscert
@@ -177,6 +179,28 @@ class TestStageOrder:
         assert calls == [("_face_step", False), ("_vertex_hunt", True)]
 
 
+class TestBasisArgument:
+    """An explicit basis must be a MonomialBasis of F's arity."""
+
+    @pytest.mark.parametrize(
+        "F, basis, message",
+        [
+            (poly("z1^2 + z2^2"), build_basis(1, (1, 1, 1)), "arities differ"),
+            (Polynomial.zero(2), build_basis(1, (1, 1, 1)), "arities differ"),
+            (poly("z1^2 + z2^2"), list(build_basis(1, (1, 1)).monomials), "MonomialBasis"),
+        ],
+    )
+    def test_rejected(self, F, basis, message):
+        with pytest.raises(StructuralError, match=message):
+            sos_certify(F, basis=basis)
+
+    def test_constant_over_one_variable(self):
+        # a constant is lifted into a one-variable ring before the check
+        F = Polynomial(0, {(): Fraction(4)})
+        cert = sos_certify(F, basis=build_basis(1, (1,)))
+        assert_certifies(F, cert)
+
+
 def default_basis(F):
     caps = tuple(-(-F.degree_in(k + 1) // 2) for k in range(F.nvars))
     return build_basis(int(F.degree()) // 2, caps)
@@ -272,6 +296,127 @@ class TestSignSymmetry:
         assert sign_flips(W) == [(0, 0)]
         monos = default_basis(W).monomials
         assert soscert._symmetric_classes(W, monos) == soscert._pair_classes(monos)
+
+
+def annihilates(G, v):
+    """G v = 0 exactly."""
+    return not any(sum(a * x for a, x in zip(row, v)) for row in G.to_dense())
+
+
+def family_with_face(rng, n, K, nzeros):
+    """(A0, directions, zeros): a Gram family over n x n whose member at some
+    lam is PSD of rank n - nzeros and annihilates the rational zeros. Each
+    direction has trace 0, so the max-min-eig problem is bounded."""
+    zeros = [
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(nzeros)
+    ]
+    span = nullspace(zeros, n)
+    weights = [rng.randint(-2, 2) for _ in span]
+    extra = [sum(w * b[i] for w, b in zip(weights, span)) for i in range(n)]
+    G = SymMatrix(n)
+    for u in [*span, extra]:
+        for i in range(n):
+            for j in range(i, n):
+                G.add(i, j, u[i] * u[j])
+    # linearly independent directions: distinct off-diagonal entries, and
+    # differences of consecutive diagonal entries
+    slots = [((i, j),) for i in range(n) for j in range(i + 1, n)]
+    slots += [((i, i), (i + 1, i + 1)) for i in range(n - 1)]
+    mats = []
+    for slot in rng.sample(slots, K):
+        value = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        mats.append(SymMatrix(n, {key: value * (-1) ** k for k, key in enumerate(slot)}))
+    lam = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(K)]
+    A0 = G - soscert._affine_point(SymMatrix(n), mats, lam)
+    return A0, mats, zeros
+
+
+class TestSolveFamily:
+    """_solve_family is the one chain: impose zeros, solve, round, lift."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"(z1^2 + z2^2)^2*({MOTZKIN})",
+            # the face leaves no free direction
+            "196/9*z1^4 + z1^2*z2^2 + 140/3*z1^2*z2 + 10*z1*z2 + 25*z2^2 + 25",
+        ],
+    )
+    def test_certify_and_face_step_share_it(self, text, monkeypatch):
+        calls, vectors = [], []  # (caller, zeros, gram) of each solve
+        solve_family, rounded = soscert._solve_family, soscert._rounded
+
+        def solve_spy(A0, kernel_mats, size, zeros=()):
+            gram, solve = solve_family(A0, kernel_mats, size, zeros)
+            calls.append((sys._getframe(1).f_code.co_name, zeros, gram))
+            return gram, solve
+
+        def rounded_spy(values, bounds):
+            for flat in rounded(values, bounds):
+                if bounds == soscert._VECTOR_BOUNDS:
+                    vectors.append(list(flat))
+                yield flat
+
+        monkeypatch.setattr(soscert, "_solve_family", solve_spy)
+        monkeypatch.setattr(soscert, "_rounded", rounded_spy)
+        F = poly(text)
+        cert = sos_certify(F)
+        assert_certifies(F, cert)
+        # the first solve has no zeros and does not round
+        assert calls[0] == ("sos_certify", (), None)
+        # every later solve is the face step's, on its rationalized vectors
+        face = calls[1:]
+        assert face and len(face) == len(vectors)
+        for (caller, zeros, _gram), flat in zip(face, vectors):
+            width = len(zeros[0])
+            assert caller == "_face_step"
+            assert zeros == [flat[r:r + width] for r in range(0, len(flat), width)]
+        assert [gram is not None for _, _, gram in face] == [False] * (len(face) - 1) + [True]
+        gram, zeros = face[-1][2], face[-1][1]
+        assert all(annihilates(gram, v) for v in zeros)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_known_rational_zeros(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 7)
+        A0, mats, zeros = family_with_face(rng, n, rng.randint(n, 2 * n), rng.randint(1, 2))
+        gram, solve = soscert._solve_family(A0, mats, n, zeros=zeros)
+        assert solve.t >= 0 and gram is not None and is_psd(gram)
+        assert all(annihilates(gram, v) for v in zeros)
+        # gram is a member of the family: gram - A0 is in the span of mats
+        keys = sorted({key for S in [A0, gram, *mats] for key, _ in S.entries()})
+        rows = [{k: S.get(*key) for k, S in enumerate(mats) if S.get(*key)} for key in keys]
+        rhs = [gram.get(*key) - A0.get(*key) for key in keys]
+        assert solve_sparse(rows, rhs, len(mats)) is not None
+
+    @pytest.mark.parametrize(
+        "mats",
+        [[], [SymMatrix(2, {(0, 1): Fraction(1)})]],
+    )
+    def test_zeros_no_member_annihilates(self, mats, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a numeric solve ran")
+
+        monkeypatch.setattr(soscert, "_max_min_eig", no_solve)
+        # A(lam) (1, 0) = (1, lam_0) is never zero
+        A0 = SymMatrix(2, {(0, 0): Fraction(1), (1, 1): Fraction(1)})
+        zeros = [[Fraction(1), Fraction(0)]]
+        assert soscert._solve_family(A0, mats, 2, zeros=zeros) == (None, None)
+
+    @pytest.mark.parametrize("F", sign_symmetric_inputs())
+    def test_without_zeros_is_solve_round_lift(self, F):
+        A0, mats, n = TestSignSymmetry.family(
+            F, lambda monos: soscert._symmetric_classes(F, monos)
+        )
+        gram, solve = soscert._solve_family(A0, mats, n)
+        expected = soscert._max_min_eig(A0, mats, n)
+        assert (solve.lam, solve.t, solve.margin) == (expected.lam, expected.t, expected.margin)
+        assert np.array_equal(solve.dual, expected.dual)
+        if expected.t < -soscert._INFEAS_TOL:
+            assert gram is None
+            return
+        lam = soscert._round_lam(A0, mats, expected.lam)
+        assert gram == (None if lam is None else soscert._affine_point(A0, mats, lam))
 
 
 class TestCertifyFailure:
