@@ -5,9 +5,9 @@ artin, realize, herglotz-scan, crosscheck. Output is a JSON document on
 stdout (schema version 1), optionally copied to --output. Exit codes:
 0 success or agreeing/passing verdicts, 1 no certificate (infeasibility
 evidence or an inconclusive search; `status` says which), failed scan or
-disagreement, 2 errors. Errors are
-structured JSON on stderr. No randomness is exposed; identical invocations
-produce byte-identical documents.
+disagreement, 2 errors. Errors are structured JSON on stderr, and _dump is
+the one JSON writer for errors and documents alike. No randomness is
+exposed; identical invocations produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -38,9 +38,12 @@ from .soscert import (
 )
 
 
+def _dump(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(doc, args):
-    doc = {"schema": 1, "command": args.command, **doc}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _dump({"schema": 1, "command": args.command, **doc})
     sys.stdout.write(text)
     if getattr(args, "output", None):
         with open(args.output, "w") as handle:
@@ -135,23 +138,8 @@ def _cmd_kernel_basis(args):
 def _cmd_sos(args):
     (F,), nvars = _parse_all([args.polynomial])
     outcome = sos_certify(F)
-    if isinstance(outcome, SosCertificate):
-        _emit(
-            {
-                "status": "certificate",
-                "certificate": serialize.certificate_json(outcome),
-            },
-            args,
-        )
-        return 0
-    _emit(
-        {
-            "status": serialize.evidence_status(F, outcome),
-            "evidence": serialize.evidence_json(outcome),
-        },
-        args,
-    )
-    return 1
+    _emit(serialize.sos_outcome_json(F, outcome), args)
+    return 0 if isinstance(outcome, SosCertificate) else 1
 
 
 def _cmd_artin(args):
@@ -160,16 +148,9 @@ def _cmd_artin(args):
     F, custom = polys[0], polys[1:]
     candidates = custom if custom else None
     found = artin_certify(F, candidates)
-    if found is None:
-        _emit({"status": "no_certificate_in_family"}, args)
-        return 1
-    s, cert = found
-    doc = {
-        "status": "certificate",
-        "denominator": serialize.polynomial_json(s),
-        "certificate": serialize.certificate_json(cert),
-    }
-    if args.minimize:
+    doc = serialize.artin_json(found)
+    if found is not None and args.minimize:
+        s, cert = found
         if candidates is None:
             defaults = default_artin_candidates(F.nvars)
             power = defaults.index(s) + 1
@@ -185,7 +166,7 @@ def _cmd_artin(args):
             "certificate": serialize.certificate_json(reduced_cert),
         }
     _emit(doc, args)
-    return 0
+    return 0 if found is not None else 1
 
 
 def _cmd_realize(args):
@@ -398,10 +379,7 @@ def main(argv=None):
         if isinstance(exc, ParseError):
             error["line"] = exc.line
             error["col"] = exc.col
-        sys.stderr.write(
-            json.dumps({"schema": 1, "error": error}, sort_keys=True, indent=2)
-            + "\n"
-        )
+        sys.stderr.write(_dump({"schema": 1, "error": error}))
         return 2
 
 

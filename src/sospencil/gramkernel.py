@@ -81,11 +81,18 @@ def _pair_classes(monos):
 
 
 def pairs_for_beta(beta, basis):
-    """Enumerate the unordered pairs of basis monomials multiplying to z^beta."""
+    """Enumerate the unordered pairs of basis monomials multiplying to z^beta:
+    (i, j) for each index i whose complement beta - alpha_i is in the basis
+    at an index j >= i, in lexicographic order."""
     beta = tuple(beta)
     if len(beta) != basis.nvars or any(type(e) is not int or e < 0 for e in beta):
         raise StructuralError(f"bad product exponents {beta}")
-    return PairClass(beta, tuple(_pair_classes(basis.monomials).get(beta, ())))
+    pairs = []
+    for i, alpha in enumerate(basis.monomials):
+        complement = tuple(b - a for a, b in zip(alpha, beta))
+        if complement in basis and (j := basis.index_of(complement)) >= i:
+            pairs.append((i, j))
+    return PairClass(beta, tuple(pairs))
 
 
 def elementary_transform(exps, r, l, caps):
@@ -221,6 +228,8 @@ def kernel_basis(basis):
     """Canonical basis of {S symmetric : Psi S Psi^T = 0}, one element per
     spanning-tree edge; count per product class is (number of pairs) - 1.
     Raises CapacityError above GRAM_CAPACITY basis monomials."""
+    if not isinstance(basis, MonomialBasis):
+        raise StructuralError("basis must be a MonomialBasis")
     _check_capacity(len(basis))
     return _spanning_elements(basis, avoid_axis=None)
 

@@ -149,21 +149,12 @@ def quadratic_form_polynomial(matrix, basis):
 
 
 def cross_product_polynomial(pencil):
-    """Psi(zeta) A(z) Psi(z)^T as a polynomial in (zeta_1..zeta_d, z_1..z_d)."""
+    """Psi(zeta) A(z) Psi(z)^T as a polynomial in (zeta_1..zeta_d, z_1..z_d):
+    row r of A(z) Psi(z)^T times zeta^(basis monomial r)."""
     basis = pencil.basis
-    d = basis.nvars
-    terms = {}
-    for k, matrix in enumerate(pencil.matrices):
-        shift = [0] * d
-        if k:
-            shift[k - 1] = 1
-        for (i, j), value in matrix.entries():
-            for r, c in ((i, j), (j, i)) if i != j else ((i, i),):
-                exps = basis.monomials[r] + tuple(
-                    e + s for e, s in zip(basis.monomials[c], shift)
-                )
-                terms[exps] = terms[exps] + value if exps in terms else value
-    return Polynomial._nonzero(2 * d, terms)
+    rows = pencil_row_action(pencil.matrices, basis)
+    terms = {m + e: c for m, row in zip(basis.monomials, rows) for e, c in row._terms.items()}
+    return Polynomial._trusted(2 * basis.nvars, terms)
 
 
 def _pencil_over(basis, den, entries):

@@ -4,11 +4,17 @@ Builders return plain dicts/lists with deterministic ordering so that
 json.dumps(..., sort_keys=True) yields byte-identical documents for
 identical inputs. Rationals serialize as [numerator, denominator] pairs,
 complex numbers as [re, im] pairs, polynomials as grammar text.
+
+Each outcome block has one builder, sos_outcome_json for an SOS outcome and
+artin_json for an Artin search; the `sos` and `artin` commands build their
+documents on them, and crosscheck_json reuses both for its report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .soscert import SosCertificate
 
 
 def fraction_json(value):
@@ -93,6 +99,26 @@ def evidence_status(F, evidence):
     return "inconclusive"
 
 
+def sos_outcome_json(F, outcome):
+    """The block of sos_certify's outcome for F: its certificate, or the
+    status and evidence of an outcome without one."""
+    if isinstance(outcome, SosCertificate):
+        return {"status": "certificate", "certificate": certificate_json(outcome)}
+    return {"status": evidence_status(F, outcome), "evidence": evidence_json(outcome)}
+
+
+def artin_json(found):
+    """The block of artin_certify's result: (s, certificate) or None."""
+    if found is None:
+        return {"status": "no_certificate_in_family"}
+    s, cert = found
+    return {
+        "status": "certificate",
+        "denominator": polynomial_json(s),
+        "certificate": certificate_json(cert),
+    }
+
+
 def evidence_json(evidence):
     return {
         "margin": evidence.margin,
@@ -119,31 +145,16 @@ def scan_report_json(report):
 
 
 def crosscheck_json(report):
-    sos_side = {}
-    if report.certificate is not None:
-        sos_side = {"status": "certificate", "certificate": certificate_json(report.certificate)}
-    else:
-        sos_side = {
-            "status": evidence_status(report.wronskian, report.evidence),
-            "evidence": evidence_json(report.evidence),
-        }
+    outcome = report.certificate if report.certificate is not None else report.evidence
     doc = {
         "verdict": report.verdict,
         "wronskian": polynomial_json(report.wronskian),
-        "sos": sos_side,
+        "sos": sos_outcome_json(report.wronskian, outcome),
         "scan": scan_report_json(report.scan),
         "artin_attempted": report.artin_attempted,
     }
     if report.artin_attempted:
-        if report.artin_result is None:
-            doc["artin"] = {"status": "no_certificate_in_family"}
-        else:
-            s, cert = report.artin_result
-            doc["artin"] = {
-                "status": "certificate",
-                "denominator": polynomial_json(s),
-                "certificate": certificate_json(cert),
-            }
+        doc["artin"] = artin_json(report.artin_result)
     return doc
 
 

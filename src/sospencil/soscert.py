@@ -142,6 +142,8 @@ def initial_gram(F, basis):
     Coefficient c of a monomial goes entirely to a squared pair when one
     exists, otherwise it is split equally over all off-diagonal pairs.
     """
+    if not isinstance(basis, MonomialBasis):
+        raise StructuralError("basis must be a MonomialBasis")
     if not isinstance(F, Polynomial) or F.nvars != basis.nvars:
         raise StructuralError("polynomial and basis arities differ")
     A0 = _full_gram(F, basis, _pair_classes(basis.monomials))

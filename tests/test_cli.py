@@ -18,6 +18,10 @@ from sospencil.soscert import artin_minimize
 DATA = Path(__file__).parent / "data"
 MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1"
 TERNARY_MOTZKIN = "z1^4*z2^2 + z1^2*z2^4 + z3^6 - 3*z1^2*z2^2*z3^2"
+ROBINSON = (
+    "z1^6 + z2^6 + 1 - z1^4*z2^2 - z1^2*z2^4 - z1^4 - z2^4 - z1^2 - z2^2"
+    " + 3*z1^2*z2^2"
+)
 # a realization whose certified Gram matrix differs from B_1 on 6 entries,
 # so it completes a nonzero defect
 DEFECT_P = (
@@ -197,7 +201,12 @@ class TestGoldenDocuments:
     then a face step that rounds; sample #42's comes from the vertex hunt,
     and the 196/9 input's from a face with no free direction. The kernel
     basis lists triple and quad elements, and the realization completes a
-    nonzero defect."""
+    nonzero defect. The outcome blocks of serialize are pinned by three
+    more: the crosscheck of z1^3 (crosscheck_disagree_z1cubed.json), a
+    DISAGREE whose report carries an SOS and an Artin certificate; the Artin
+    search on z1^2 - 1 (artin_no_certificate.json), which finds none; and
+    the minimized Artin certificate of Robinson's form
+    (artin_minimize_robinson.json)."""
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -266,6 +275,19 @@ class TestGoldenDocuments:
     def test_kernel_and_realization_documents(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
+        assert out.encode() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, expected, name",
+        [
+            (("crosscheck", "z1^3", "1"), 1, "crosscheck_disagree_z1cubed.json"),
+            (("artin", "z1^2 - 1"), 1, "artin_no_certificate.json"),
+            (("artin", "--minimize", ROBINSON), 0, "artin_minimize_robinson.json"),
+        ],
+    )
+    def test_outcome_block_documents(self, capsys, argv, expected, name):
+        code, out, err = run(capsys, *argv)
+        assert code == expected and err == ""
         assert out.encode() == (DATA / name).read_bytes()
 
 

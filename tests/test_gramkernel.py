@@ -79,6 +79,20 @@ class TestPairsAndTransforms:
                 assert pairs_for_beta(beta, basis).pairs == tuple(pairs)
             assert pairs_for_beta((2 * total + 1,) + caps[1:], basis).pairs == ()
 
+    def test_pairs_by_lookup(self, monkeypatch):
+        # one beta is answered without enumerating every pair class
+        calls = []
+
+        def spy(monos):
+            calls.append(len(monos))
+            return _pair_classes(monos)
+
+        monkeypatch.setattr(gramkernel, "_pair_classes", spy)
+        basis = build_basis(4, (2, 2, 2))
+        got = pairs_for_beta((2, 2, 2), basis)
+        assert calls == []
+        assert got.pairs == tuple(_pair_classes(basis.monomials)[(2, 2, 2)])
+
     def test_one_pair_class_enumeration(self):
         assert soscert._pair_classes is _pair_classes
 
@@ -110,6 +124,13 @@ class TestKernelBasis:
         assert len(kernel_basis(build_basis(7, (7, 7, 7)))) > 0  # N = 120
         with pytest.raises(CapacityError, match="165 monomials, capacity 120"):
             kernel_basis(build_basis(8, (8, 8, 8)))
+
+    @pytest.mark.parametrize(
+        "basis", [list(build_basis(1, (1, 1)).monomials), "abc"], ids=["list", "str"]
+    )
+    def test_basis_must_be_a_monomial_basis(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            kernel_basis(basis)
 
     def test_trivial_bases_have_empty_kernel(self):
         for caps in ((0,), (1,), (1, 1)):

@@ -4,6 +4,8 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from sospencil import serialize
 from sospencil.exactlinalg import SymMatrix
 from sospencil.gramkernel import kernel_basis
@@ -79,6 +81,19 @@ def test_reports_serialize_to_json():
     assert parsed["scan"]["verdict"] == "pass"
     assert parsed["cross"]["verdict"] == "AGREE_SOS_HERGLOTZ"
     assert parsed["realization"]["p"] == "-1"
+
+
+@pytest.mark.parametrize("p, q", [("z1^3", "1"), ("1", "z1")])
+def test_crosscheck_reuses_outcome_blocks(p, q):
+    # z1^3 disagrees and carries an Artin certificate; 1/z1 agrees on a
+    # refuted Wronskian
+    report = crosscheck_slice_criterion(poly(p, 1), poly(q, 1))
+    W = report.wronskian
+    doc = serialize.crosscheck_json(report)
+    assert doc["sos"] == serialize.sos_outcome_json(W, sos_certify(W))
+    assert ("artin" in doc) == report.artin_attempted == (p == "z1^3")
+    if report.artin_attempted:
+        assert doc["artin"] == serialize.artin_json(artin_certify(W))
 
 
 def test_disagreement_with_artin_certificate():

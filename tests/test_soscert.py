@@ -194,6 +194,13 @@ class TestBasisArgument:
         with pytest.raises(StructuralError, match=message):
             sos_certify(F, basis=basis)
 
+    @pytest.mark.parametrize(
+        "basis", [list(build_basis(1, (1, 1)).monomials), "abc"], ids=["list", "str"]
+    )
+    def test_initial_gram_rejects(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            initial_gram(poly("z1^2 + z2^2"), basis)
+
     def test_constant_over_one_variable(self):
         # a constant is lifted into a one-variable ring before the check
         F = Polynomial(0, {(): Fraction(4)})
