@@ -44,8 +44,6 @@ from .polycore import (
     Polynomial,
     RationalFunction,
     build_basis,
-    dehomogenize,
-    homogenize,
     wronskian,
 )
 from .realize import Realization, verify_realization, wronskian_realization
@@ -57,7 +55,6 @@ from .soscert import (
     artin_minimize,
     default_artin_candidates,
     initial_gram,
-    psd_sample_check,
     sos_certify,
 )
 
@@ -93,9 +90,7 @@ __all__ = [
     "crosscheck_slice_criterion",
     "default_artin_candidates",
     "defect_completion",
-    "dehomogenize",
     "holomorphy_sample_check",
-    "homogenize",
     "initial_gram",
     "is_psd",
     "kernel_basis",
@@ -106,7 +101,6 @@ __all__ = [
     "pencil_row_action",
     "product_polarization",
     "psd_factor",
-    "psd_sample_check",
     "quadratic_form_polynomial",
     "slice_scan",
     "sos_certify",

@@ -10,10 +10,10 @@ pivoting, which is exact and doubles as the square-extraction backend for
 certificates. It runs fraction-free (Bareiss) elimination on the integer
 matrix lcm * A (_integer_matrix): psd_factor over all indices, is_psd per
 connected component of the nonzero entries. Every other elimination
-(rref, solve_affine, solve_sparse, nullspace, sparse_rank) is one
-Gauss-Jordan elimination on sparse integer rows, each kept primitive
-(_sparse_rref). Both return the same Fractions as elimination done in
-Fraction (the tests keep that elimination as their reference).
+(rref, solve_sparse, sparse_rank) is one Gauss-Jordan elimination on
+sparse integer rows, each kept primitive (_sparse_rref). Both return the
+same Fractions as elimination done in Fraction (the tests keep that
+elimination as their reference).
 """
 
 from __future__ import annotations
@@ -238,31 +238,6 @@ def rref(rows):
         out.append(dense)
     out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
     return out, pivots
-
-
-def nullspace(rows, ncols):
-    """Basis of {x : rows @ x = 0} as Fraction vectors (free-variable form)."""
-    if not rows:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    return solve_affine(rows, [Fraction(0)] * len(rows))[1]
-
-
-def solve_affine(rows, rhs):
-    """All solutions of rows @ x = rhs for a dense matrix.
-
-    Returns (particular, homogeneous_basis) or None when inconsistent, as
-    solve_sparse does. Raises StructuralError when rhs and rows differ in
-    length or the rows do.
-    """
-    if not rows:
-        raise StructuralError("solve_affine needs at least one equation row")
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise StructuralError("solve_affine needs rows of equal length")
-    return solve_sparse([dict(enumerate(row)) for row in rows], rhs, ncols)
 
 
 def solve_sparse(rows, rhs, ncols):

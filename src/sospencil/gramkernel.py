@@ -33,7 +33,7 @@ from .errors import (
 )
 from .exactlinalg import SymMatrix, solve_sparse, sparse_rank
 from .polarize import SymmetricPencil, pencil_row_action, quadratic_form_polynomial
-from .polycore import MonomialBasis, basis_key, build_basis
+from .polycore import basis_key, build_basis, check_basis
 
 # Largest basis over which a Gram family is built: kernel_basis here, and
 # sos_certify in soscert. The family has about N^2 / 2 pairs.
@@ -84,6 +84,7 @@ def pairs_for_beta(beta, basis):
     """Enumerate the unordered pairs of basis monomials multiplying to z^beta:
     (i, j) for each index i whose complement beta - alpha_i is in the basis
     at an index j >= i, in lexicographic order."""
+    check_basis(basis)
     beta = tuple(beta)
     if len(beta) != basis.nvars or any(type(e) is not int or e < 0 for e in beta):
         raise StructuralError(f"bad product exponents {beta}")
@@ -228,8 +229,7 @@ def kernel_basis(basis):
     """Canonical basis of {S symmetric : Psi S Psi^T = 0}, one element per
     spanning-tree edge; count per product class is (number of pairs) - 1.
     Raises CapacityError above GRAM_CAPACITY basis monomials."""
-    if not isinstance(basis, MonomialBasis):
-        raise StructuralError("basis must be a MonomialBasis")
+    check_basis(basis)
     _check_capacity(len(basis))
     return _spanning_elements(basis, avoid_axis=None)
 
@@ -309,6 +309,7 @@ def defect_completion(S_last, basis, axis):
     the maximal axis degree present in the basis is zero (equivalently,
     S_last kills the top axis-derivative of Psi^T).
     """
+    check_basis(basis)
     d = basis.nvars
     N = len(basis)
     if not isinstance(S_last, SymMatrix) or S_last.size != N:

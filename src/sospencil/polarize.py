@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .errors import InternalConsistencyError, PreconditionError, StructuralError
 from .exactlinalg import SymMatrix
-from .polycore import MonomialBasis, Polynomial, _integer_terms, wronskian
+from .polycore import MonomialBasis, Polynomial, _integer_terms, check_basis, wronskian
 
 # Pair pencils kept by _pair_pencil_entries; one wronskian-batch round of
 # the benchmark needs 128.
@@ -101,6 +101,7 @@ class SymmetricPencil:
     matrices: tuple  # length d+1, constant matrix first, all SymMatrix
 
     def __post_init__(self):
+        check_basis(self.basis)
         if len(self.matrices) != self.basis.nvars + 1:
             raise StructuralError(
                 f"pencil needs {self.basis.nvars + 1} matrices, got {len(self.matrices)}"
@@ -123,6 +124,7 @@ class SymmetricPencil:
 
 def pencil_row_action(matrices, basis):
     """Rows of (M_0 + z_1 M_1 + ... + z_d M_d) Psi(z)^T as polynomials."""
+    check_basis(basis)
     d = basis.nvars
     rows = [{} for _ in range(len(basis))]
     for k, matrix in enumerate(matrices):
@@ -139,6 +141,7 @@ def pencil_row_action(matrices, basis):
 
 def quadratic_form_polynomial(matrix, basis):
     """Psi(z) M Psi(z)^T for a single symmetric matrix M."""
+    check_basis(basis)
     d = basis.nvars
     terms = {}
     for (i, j), value in matrix.entries():
@@ -178,6 +181,7 @@ def pair_pencil(alpha, beta, basis):
     row monomials keeping the first occurrence, set aux = 1, and embed into
     the full basis.
     """
+    check_basis(basis)
     d = basis.nvars
     alpha = tuple(alpha)
     beta = tuple(beta)

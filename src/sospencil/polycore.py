@@ -16,7 +16,7 @@ nonnegative ints, and every value is a nonzero Fraction.
 Two monomial orders appear throughout:
 
 * ``grlex_key`` ranks by total degree, then lexicographically with z1
-  heaviest. Leading terms, sign normalisation and text rendering use it.
+  heaviest. Leading terms and text rendering use it.
 * ``basis_key`` ranks by total degree, then reverse-lexicographically, so
   that basis listings come out as 1, z1, z2, z1^2, z1*z2, z2^2, ...
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .errors import NotRepresentableError, PreconditionError, StructuralError
+from .errors import NotRepresentableError, StructuralError
 
 NEG_INF = float("-inf")
 
@@ -387,6 +387,12 @@ class MonomialBasis:
         return all(e in self._index for e in poly.support())
 
 
+def check_basis(basis):
+    """Raise StructuralError unless ``basis`` is a MonomialBasis."""
+    if not isinstance(basis, MonomialBasis):
+        raise StructuralError("basis must be a MonomialBasis")
+
+
 def build_basis(total_cap, var_caps):
     """Enumerate the capped monomial basis in ascending graded reverse-lex order."""
     if type(total_cap) is not int or total_cap < 0:
@@ -412,185 +418,11 @@ def build_basis(total_cap, var_caps):
     return MonomialBasis(total_cap, var_caps, tuple(monomials))
 
 
-def homogenize(poly, total_degree):
-    """Append an auxiliary last variable raising every term to ``total_degree``."""
-    if poly.is_zero():
-        return Polynomial.zero(poly.nvars + 1)
-    if poly.degree() > total_degree:
-        raise PreconditionError(
-            f"cannot homogenize degree {poly.degree()} to total degree {total_degree}"
-        )
-    terms = {
-        exps + (total_degree - sum(exps),): coeff
-        for exps, coeff in poly._terms.items()
-    }
-    return Polynomial._trusted(poly.nvars + 1, terms)
-
-
-def dehomogenize(poly):
-    """Set the auxiliary last variable to 1."""
-    if poly.nvars < 1:
-        raise StructuralError("nothing to dehomogenize in a 0-variable polynomial")
-    terms = {}
-    for exps, coeff in poly._terms.items():
-        base = exps[:-1]
-        terms[base] = terms[base] + coeff if base in terms else coeff
-    return Polynomial._nonzero(poly.nvars - 1, terms)
-
-
 def wronskian(q, p, index):
     """q * dp/dz_index - p * dq/dz_index."""
     if q.nvars != p.nvars:
         raise StructuralError("wronskian operands must share the variable count")
     return q * p.diff(index) - p * q.diff(index)
-
-
-# -- gcd machinery ----------------------------------------------------------------
-
-
-def _fraction_gcd(a, b):
-    return Fraction(
-        math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator)
-    )
-
-
-def rational_content(poly):
-    """Positive Fraction c such that poly / c has coprime integer coefficients."""
-    if poly.is_zero():
-        raise StructuralError("zero polynomial has no content")
-    content = Fraction(0)
-    for coeff in poly._terms.values():
-        content = _fraction_gcd(content, abs(coeff))
-    return content
-
-
-def canonical_scale(poly):
-    """Scale to coprime integer coefficients with positive leading coefficient."""
-    if poly.is_zero():
-        return poly
-    scale = rational_content(poly)
-    if poly.leading_term()[1] < 0:
-        scale = -scale
-    return poly * (1 / scale)
-
-
-def divexact(f, g):
-    """Exact quotient f / g; raises StructuralError when g does not divide f."""
-    if g.is_zero():
-        raise StructuralError("division by the zero polynomial")
-    f._check_same_ring(g)
-    g_exps, g_coeff = g.leading_term()
-    quotient = {}
-    rest = f
-    while not rest.is_zero():
-        r_exps, r_coeff = rest.leading_term()
-        step = tuple(a - b for a, b in zip(r_exps, g_exps))
-        if any(e < 0 for e in step):
-            raise StructuralError("polynomials do not divide exactly")
-        c = r_coeff / g_coeff
-        quotient[step] = c
-        rest = rest - g * Polynomial._trusted(f.nvars, {step: c})
-    return Polynomial._trusted(f.nvars, quotient)
-
-
-def divides(g, f):
-    """True when g divides f exactly (g nonzero)."""
-    if g.is_zero():
-        return f.is_zero()
-    try:
-        divexact(f, g)
-    except StructuralError:
-        return False
-    return True
-
-
-def _to_univariate(poly):
-    """View an nvars-variate polynomial as dict: deg in z1 -> coeff in z2..zd."""
-    coeffs = {}
-    for exps, coeff in poly._terms.items():
-        coeffs.setdefault(exps[0], {})[exps[1:]] = coeff
-    return {
-        d: Polynomial._trusted(poly.nvars - 1, terms) for d, terms in coeffs.items()
-    }
-
-
-def _from_univariate(coeffs, nvars):
-    terms = {}
-    for d, poly in coeffs.items():
-        for exps, coeff in poly._terms.items():
-            terms[(d,) + exps] = coeff
-    return Polynomial._trusted(nvars, terms)
-
-
-def _content_many(polys):
-    acc = None
-    for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc == Polynomial.one(acc.nvars):
-            break
-    return acc
-
-
-def _primitive(coeffs):
-    """Divide a univariate-view polynomial by the gcd of its coefficients."""
-    content = _content_many(list(coeffs.values()))
-    return {d: divexact(c, content) for d, c in coeffs.items()}, content
-
-
-def _pseudo_remainder(u, v):
-    """Pseudo-remainder of univariate views u by v (v nonzero), up to units."""
-    dv = max(v)
-    lead_v = v[dv]
-    r = dict(u)
-    while r and max(r) >= dv:
-        dr = max(r)
-        lead_r = r.pop(dr)
-        shifted = {}
-        for d, c in v.items():
-            if d == dv:
-                continue
-            shifted[d + dr - dv] = c
-        new = {}
-        for d in set(r) | set(shifted):
-            val = r.get(d, Polynomial.zero(lead_v.nvars)) * lead_v - shifted.get(
-                d, Polynomial.zero(lead_v.nvars)
-            ) * lead_r
-            if not val.is_zero():
-                new[d] = val
-        r = new
-    return r
-
-
-def poly_gcd(f, g):
-    """Greatest common divisor in Q[z1..zd].
-
-    Normalized to coprime integer coefficients with positive leading
-    coefficient, so the gcd of two nonzero constants is 1.
-    """
-    if not isinstance(f, Polynomial) or not isinstance(g, Polynomial):
-        raise StructuralError("poly_gcd expects two Polynomial arguments")
-    f._check_same_ring(g)
-    if f.is_zero():
-        return canonical_scale(g)
-    if g.is_zero():
-        return canonical_scale(f)
-    if f.nvars == 0:
-        return Polynomial.one(0)
-
-    u, content_f = _primitive(_to_univariate(f))
-    v, content_g = _primitive(_to_univariate(g))
-    if max(u) < max(v):
-        u, v = v, u
-    while True:
-        r = _pseudo_remainder(u, v)
-        if not r:
-            break
-        u, v = v, _primitive(r)[0]
-    content = poly_gcd(content_f, content_g)
-    result = _from_univariate(v, f.nvars) * _from_univariate(
-        {0: content}, f.nvars
-    )
-    return canonical_scale(result)
 
 
 # -- rational functions -------------------------------------------------------------
@@ -612,20 +444,6 @@ class RationalFunction:
     @property
     def nvars(self):
         return self.p.nvars
-
-    @classmethod
-    def normalized(cls, p, q):
-        """Reduce by the polynomial gcd; make q's leading coefficient positive."""
-        rf = cls(p, q)
-        if p.is_zero():
-            sign = Fraction(1) if q.leading_term()[1] > 0 else Fraction(-1)
-            return cls(Polynomial.zero(q.nvars), q * sign)
-        common = poly_gcd(rf.p, rf.q)
-        p_red = divexact(rf.p, common)
-        q_red = divexact(rf.q, common)
-        if q_red.leading_term()[1] < 0:
-            p_red, q_red = -p_red, -q_red
-        return cls(p_red, q_red)
 
     def __str__(self):
         return f"({self.p}) / ({self.q})"

@@ -51,7 +51,6 @@ PSD test reads those numerators, so a failed rounding builds no Fraction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,7 +74,7 @@ from .exactlinalg import (
 )
 from .gramkernel import GRAM_CAPACITY, _check_capacity, _pair_classes, kernel_basis
 from .polarize import quadratic_form_polynomial
-from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
+from .polycore import MonomialBasis, Polynomial, basis_key, build_basis, check_basis
 
 ARTIN_MAX_POWER = 3
 
@@ -142,8 +141,7 @@ def initial_gram(F, basis):
     Coefficient c of a monomial goes entirely to a squared pair when one
     exists, otherwise it is split equally over all off-diagonal pairs.
     """
-    if not isinstance(basis, MonomialBasis):
-        raise StructuralError("basis must be a MonomialBasis")
+    check_basis(basis)
     if not isinstance(F, Polynomial) or F.nvars != basis.nvars:
         raise StructuralError("polynomial and basis arities differ")
     A0 = _full_gram(F, basis, _pair_classes(basis.monomials))
@@ -872,10 +870,10 @@ def sos_certify(F, basis=None):
         raise StructuralError("sos_certify expects a Polynomial")
     if F.nvars == 0:  # constants live in a one-variable ring for basis purposes
         F = Polynomial(1, {(0,): v for _, v in F.terms()})
-    if basis is not None and not isinstance(basis, MonomialBasis):
-        raise StructuralError("basis must be a MonomialBasis")
-    if basis is not None and basis.nvars != F.nvars:
-        raise StructuralError("polynomial and basis arities differ")
+    if basis is not None:
+        check_basis(basis)
+        if basis.nvars != F.nvars:
+            raise StructuralError("polynomial and basis arities differ")
     d = F.nvars
     if F.is_zero():
         if basis is None:
@@ -1017,25 +1015,3 @@ def _minimize_certified(F, s_factored, certificate):
                 break
     reduced = [(factor, mult) for factor, mult in factors if mult > 0]
     return reduced, certificate
-
-
-def psd_sample_check(F, grid_spec):
-    """Exact evaluation of F on a rational grid.
-
-    grid_spec lists the sample values per variable. Returns
-    (nonnegative_everywhere, worst_point, worst_value).
-    """
-    if not isinstance(F, Polynomial):
-        raise StructuralError("psd_sample_check expects a Polynomial")
-    grids = [tuple(Fraction(x) for x in axis) for axis in grid_spec]
-    if len(grids) != F.nvars:
-        raise StructuralError("grid spec arity does not match the polynomial")
-    if any(not axis for axis in grids):
-        raise StructuralError("grid spec has an empty axis")
-    worst_value = None
-    worst_point = None
-    for point in itertools.product(*grids):
-        value = F.eval_rational(point)
-        if worst_value is None or value < worst_value:
-            worst_value, worst_point = value, point
-    return worst_value >= 0, worst_point, worst_value

@@ -29,6 +29,39 @@ DEFECT_P = (
     " + 5*z2^2 - 29/4*z1 - 8*z2 - 31/4"
 )
 DEFECT_Q = "(z1 + z2 + 1/2)*(z1 + 2*z2 + 3)"
+POLE = "z1 + z2 + 2*z3 + 1"
+# the commands of the CI step "Byte-identical documents", with their exit codes
+CI_LOOP = [
+    (("sos", ROBINSON), 1),
+    (("sos", "2*z2 - z1^2"), 1),
+    (("artin", "--minimize", ROBINSON), 0),
+    (("sos", f"(z1^2 + z2^2)^2*({MOTZKIN})"), 0),
+    (("artin", TERNARY_MOTZKIN), 0),
+    (("sos", "(-4/3*z1^2 + 4*z1*z2 - 9/2*z2)^2 + (-5*z1*z2 + 7/2)^2"), 0),
+    (("sos", "196/9*z1^4 + z1^2*z2^2 + 140/3*z1^2*z2 + 10*z1*z2 + 25*z2^2 + 25"), 0),
+    (("realize", DEFECT_P, DEFECT_Q, "1"), 0),
+    (("kernel-basis", "--n", "3", "--caps", "2,2,1"), 0),
+    (("wronskian", DEFECT_Q, DEFECT_P, "1"), 0),
+    (("polarize", DEFECT_Q, DEFECT_P), 0),
+    (("polarize", "1/3*z1^2 + 1/2*z2 - 2/5", "5/6*z1*z2 - 7/4*z2^2 + 1/7"), 0),
+    (("herglotz-scan", f"(z1 + z3)*({POLE}) - 2", POLE), 0),
+    (("herglotz-scan", f"(z1 + z3)*({POLE}) + 2", POLE), 1),
+    (("crosscheck", f"(z1 + z3)*({POLE}) - 2", POLE), 0),
+    (("crosscheck", f"(z1 + z3)*({POLE}) + 2", POLE), 0),
+    (("crosscheck", "z1^3", "1"), 1),
+    (("artin", "z1^2 - 1"), 1),
+]
+# runs each command of its JSON argument through cli.main and prints one
+# JSON line [exit code, document] per command
+CI_LOOP_CHILD = """
+import contextlib, io, json, sys
+from sospencil.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([code, out.getvalue()]))
+"""
 
 
 def run(capsys, *argv):
@@ -592,6 +625,25 @@ class TestPlumbing:
             ]
         assert all(outputs["1"])
         assert outputs["1"] == outputs["2"]
+
+    def test_ci_documents_do_not_depend_on_the_hash_seed(self):
+        # output that depends on dict or set order, or on the float path,
+        # differs between two hash seeds
+        src = str(Path(sospencil.__file__).resolve().parents[1])
+        argvs = json.dumps([argv for argv, _ in CI_LOOP])
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", CI_LOOP_CHILD, argvs],
+                capture_output=True, env=env, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        results = [json.loads(line) for line in outputs[0].splitlines()]
+        assert [code for code, _ in results] == [code for _, code in CI_LOOP]
+        # the zero dual entries of the eigendecomposition solve print as 0.0
+        assert "-0.0" not in results[1][1]
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -13,10 +13,8 @@ from sospencil.errors import StructuralError
 from sospencil.exactlinalg import (
     SymMatrix,
     is_psd,
-    nullspace,
     psd_factor,
     rref,
-    solve_affine,
     solve_sparse,
     sparse_rank,
 )
@@ -27,6 +25,11 @@ def frac_matrix(rng, rows, cols, density=0.8):
         [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) if rng.random() < density else Fraction(0) for _ in range(cols)]
         for _ in range(rows)
     ]
+
+
+def solve_dense(rows, rhs):
+    """solve_sparse on dense rows, every entry (zeros too) kept as a column."""
+    return solve_sparse([dict(enumerate(row)) for row in rows], rhs, len(rows[0]))
 
 
 def mat_vec(rows, x):
@@ -170,22 +173,22 @@ class TestElimination:
             rows = frac_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
             x = [Fraction(rng.randint(-3, 3)) for _ in rows[0]]
             rhs = mat_vec(rows, x)
-            particular, homogeneous = solve_affine(rows, rhs)
+            particular, homogeneous = solve_dense(rows, rhs)
             assert mat_vec(rows, particular) == rhs
             for h in homogeneous:
                 assert all(v == 0 for v in mat_vec(rows, h))
-            assert homogeneous == nullspace(rows, len(rows[0]))
+            assert homogeneous == solve_dense(rows, [0] * len(rows))[1]
 
     def test_solve_affine_inconsistent(self):
         rows = [[Fraction(1)], [Fraction(1)]]
-        assert solve_affine(rows, [Fraction(0), Fraction(1)]) is None
+        assert solve_dense(rows, [Fraction(0), Fraction(1)]) is None
 
     def test_nullspace_rank_nullity(self):
         rng = random.Random(23)
         for _ in range(25):
             cols = rng.randint(1, 5)
             rows = frac_matrix(rng, rng.randint(1, 4), cols)
-            kernel = nullspace(rows, cols)
+            kernel = solve_dense(rows, [0] * len(rows))[1]
             sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
             assert len(kernel) == cols - sparse_rank(sparse)
             for v in kernel:
@@ -418,16 +421,6 @@ class TestStructuralErrors:
             with pytest.raises(StructuralError):
                 is_psd(a)
 
-    def test_solve_affine_length_mismatch(self):
-        with pytest.raises(StructuralError):
-            solve_affine([[1, 0], [0, 1], [1, 1]], [1, 2])
-        with pytest.raises(StructuralError):
-            solve_affine([[1, 0]], [1, 2])
-
-    def test_solve_affine_ragged_rows(self):
-        with pytest.raises(StructuralError):
-            solve_affine([[1, 0], [1]], [1, 2])
-
     def test_rref_ragged_rows(self):
         with pytest.raises(StructuralError):
             rref([[1, 2, 3], [4, 5]])
@@ -521,7 +514,7 @@ class TestSparseAgainstFractionReference:
             assert expected is not None
         elif kind == "inconsistent":
             assert expected is None
-        assert solve_affine(rows, rhs) == expected
+        assert solve_dense(rows, rhs) == expected
         assert solve_sparse(sparse_rows(rows), rhs, len(rows[0])) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -542,6 +535,6 @@ class TestSparseAgainstFractionReference:
         rows = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in sparse]
         expected = reference.solve_affine(rows, rhs)
         assert expected is not None
-        assert solve_affine(rows, rhs) == expected
+        assert solve_dense(rows, rhs) == expected
         assert solve_sparse(sparse, rhs, ncols) == expected
         assert rref(rows) == reference.rref(rows)

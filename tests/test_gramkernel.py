@@ -93,6 +93,13 @@ class TestPairsAndTransforms:
         assert calls == []
         assert got.pairs == tuple(_pair_classes(basis.monomials)[(2, 2, 2)])
 
+    @pytest.mark.parametrize(
+        "basis", [list(build_basis(1, (1, 1)).monomials), "abc"], ids=["list", "str"]
+    )
+    def test_basis_must_be_a_monomial_basis(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            pairs_for_beta((1, 1), basis)
+
     def test_one_pair_class_enumeration(self):
         assert soscert._pair_classes is _pair_classes
 
@@ -312,6 +319,13 @@ class TestDefectCompletion:
         pen = defect_completion(S, basis, 3)
         assert pen.matrices[3] == S
         assert all(r.is_zero() for r in pencil_row_action(pen.matrices, basis))
+
+    @pytest.mark.parametrize(
+        "basis", [list(build_basis(1, (1, 1)).monomials), "abc"], ids=["list", "str"]
+    )
+    def test_basis_must_be_a_monomial_basis(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            defect_completion(SymMatrix(3), basis, 1)
 
     def test_nonannihilating_input_rejected(self):
         basis = build_basis(2, (2, 2))

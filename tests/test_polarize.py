@@ -376,3 +376,26 @@ class TestSymmetricPencil:
         doubled = a + a
         for single, double in zip(a.matrices, doubled.matrices):
             assert single + single == double
+
+
+@pytest.mark.parametrize(
+    "basis", [list(build_basis(1, (1, 1)).monomials), "abc"], ids=["list", "str"]
+)
+class TestBasisArgument:
+    """A basis that is not a MonomialBasis raises StructuralError."""
+
+    def test_symmetric_pencil(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            SymmetricPencil(basis, (SymMatrix(3),) * 3)
+
+    def test_pencil_row_action(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            pencil_row_action((SymMatrix(3),) * 3, basis)
+
+    def test_quadratic_form_polynomial(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            quadratic_form_polynomial(SymMatrix(3), basis)
+
+    def test_pair_pencil(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            pair_pencil((1, 0), (0, 1), basis)

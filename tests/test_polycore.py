@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sospencil.errors import PreconditionError, StructuralError
+from sospencil.errors import StructuralError
 from sospencil.parsing import parse_polynomial
 from sospencil.polycore import (
     MonomialBasis,
@@ -14,13 +14,6 @@ from sospencil.polycore import (
     RationalFunction,
     basis_key,
     build_basis,
-    canonical_scale,
-    dehomogenize,
-    divexact,
-    divides,
-    homogenize,
-    poly_gcd,
-    rational_content,
     wronskian,
 )
 
@@ -251,47 +244,6 @@ class TestBases:
             build_basis(total, caps)
 
 
-class TestGcd:
-    def test_divexact_inverts_product(self):
-        f = poly("z1^2 + z2")
-        g = poly("z1 - 3*z2", 2)
-        assert divexact(f * g, g) == f
-        assert divides(g, f * g)
-        assert not divides(poly("z1^2", 2), g)
-
-    def test_gcd_of_common_factor(self):
-        f = poly("z1 + z2")
-        g = canonical_scale(poly_gcd(f * poly("z1", 2), f * poly("z2", 2)))
-        assert g == f
-
-    def test_content(self):
-        p = poly("4*z1 + 6")
-        content = rational_content(p)
-        assert content == Fraction(2)
-        assert divexact(p, Polynomial.monomial((0,), content)) == poly("2*z1 + 3")
-
-    @settings(max_examples=30, deadline=None)
-    @given(small_polys(), small_polys())
-    def test_gcd_divides_both(self, f, g):
-        if f.is_zero() or g.is_zero():
-            return
-        h = poly_gcd(f, g)
-        assert divides(h, f) and divides(h, g)
-
-
-class TestHomogenize:
-    def test_round_trip(self):
-        p = poly("z1^2*z2 + z1 - 5")
-        h = homogenize(p, 4)
-        assert h.nvars == 3  # auxiliary variable appended last
-        assert all(sum(exps) == 4 for exps, _ in h.terms())
-        assert dehomogenize(h) == p
-
-    def test_degree_too_small_rejected(self):
-        with pytest.raises(PreconditionError):
-            homogenize(poly("z1^3"), 2)
-
-
 class TestWronskian:
     def test_reference_case(self):
         q = poly("z1*z2")
@@ -325,13 +277,6 @@ class TestWronskian:
 
 
 class TestRationalFunction:
-    def test_normalized_cancels_gcd(self):
-        p = poly("z1^2 - z2^2")
-        q = poly("z1 + z2")
-        f = RationalFunction.normalized(p, q)
-        assert f.p == poly("z1 - z2", 2)
-        assert f.q == Polynomial.one(2)
-
     def test_zero_denominator_rejected(self):
         with pytest.raises(StructuralError):
-            RationalFunction.normalized(poly("z1"), Polynomial.zero(1))
+            RationalFunction(poly("z1"), Polynomial.zero(1))

@@ -19,7 +19,7 @@ from sospencil.errors import (
     PreconditionError,
     StructuralError,
 )
-from sospencil.exactlinalg import SymMatrix, _is_psd_entries, is_psd, nullspace, solve_sparse
+from sospencil.exactlinalg import SymMatrix, _is_psd_entries, is_psd, solve_sparse
 from sospencil.parsing import parse_polynomial
 from sospencil.polycore import Polynomial, build_basis, wronskian
 from sospencil import soscert
@@ -30,7 +30,6 @@ from sospencil.soscert import (
     artin_minimize,
     default_artin_candidates,
     initial_gram,
-    psd_sample_check,
     sos_certify,
 )
 
@@ -317,7 +316,7 @@ def family_with_face(rng, n, K, nzeros):
     zeros = [
         [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(nzeros)
     ]
-    span = nullspace(zeros, n)
+    span = solve_sparse([dict(enumerate(z)) for z in zeros], [0] * nzeros, n)[1]
     weights = [rng.randint(-2, 2) for _ in span]
     extra = [sum(w * b[i] for w, b in zip(weights, span)) for i in range(n)]
     G = SymMatrix(n)
@@ -1028,17 +1027,3 @@ class TestArtin:
     def test_minimize_requires_certifiable_start(self):
         with pytest.raises(PreconditionError):
             artin_minimize(poly("-1", 1), [(poly("z1"), 1)])
-
-
-class TestSampleCheck:
-    def test_nonnegative_on_grid(self):
-        grid = [[Fraction(k) for k in (-2, -1, 0, 1, 2)]] * 2
-        ok, point, value = psd_sample_check(poly(MOTZKIN), grid)
-        assert ok and value >= 0
-
-    def test_detects_negative_point(self):
-        grid = [[Fraction(k) for k in (-1, 0, 1)]]
-        ok, point, value = psd_sample_check(poly("z1^2 - 1"), grid)
-        assert not ok
-        assert value == Fraction(-1)
-        assert point in ((Fraction(0),),)
