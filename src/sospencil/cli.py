@@ -8,6 +8,11 @@ evidence or an inconclusive search; `status` says which), failed scan or
 disagreement, 2 errors. Errors are structured JSON on stderr, and _dump is
 the one JSON writer for errors and documents alike. No randomness is
 exposed; identical invocations produce byte-identical documents.
+
+argparse parses the command line. A polynomial, number or file name may
+start with '-'; main NUL-prefixes each such token after the subcommand
+(not -h) so that argparse takes it for a value, and strips the NUL from
+the parsed values. No command-line argument can contain a NUL.
 """
 
 from __future__ import annotations
@@ -143,10 +148,8 @@ def _cmd_sos(args):
 
 
 def _cmd_artin(args):
-    texts = [args.polynomial] + (args.candidates or [])
-    polys, nvars = _parse_all(texts)
-    F, custom = polys[0], polys[1:]
-    candidates = custom if custom else None
+    polys, nvars = _parse_all([args.polynomial] + (args.candidates or []))
+    F, candidates = polys[0], polys[1:] or None
     found = artin_certify(F, candidates)
     doc = serialize.artin_json(found)
     if found is not None and args.minimize:
@@ -197,24 +200,15 @@ def _cmd_realize(args):
 
 def _cmd_herglotz_scan(args):
     (p, q), nvars = _parse_all([args.p, args.q])
-    real_grid, halfplane_grid = _scan_grids(args)
-    report = slice_scan(RationalFunction(p, q), real_grid, halfplane_grid)
+    report = slice_scan(RationalFunction(p, q), *_scan_grids(args))
     _emit({"report": serialize.scan_report_json(report)}, args)
     return 0 if report.verdict == "pass" else 1
 
 
 def _cmd_crosscheck(args):
-    texts = [args.p, args.q] + (args.candidates or [])
-    polys, nvars = _parse_all(texts)
-    p, q, custom = polys[0], polys[1], polys[2:]
-    real_grid, halfplane_grid = _scan_grids(args)
-    report = crosscheck_slice_criterion(
-        p,
-        q,
-        candidates=custom if custom else None,
-        real_grid=real_grid,
-        halfplane_grid=halfplane_grid,
-    )
+    polys, nvars = _parse_all([args.p, args.q] + (args.candidates or []))
+    p, q, candidates = polys[0], polys[1], polys[2:] or None
+    report = crosscheck_slice_criterion(p, q, candidates, *_scan_grids(args))
     _emit({"report": serialize.crosscheck_json(report)}, args)
     return 0 if report.verdict.startswith("AGREE") else 1
 
@@ -248,7 +242,7 @@ def build_parser():
     sub = commands.add_parser("wronskian", help="partial Wronskian q dp/dz_k - p dq/dz_k")
     sub.add_argument("q")
     sub.add_argument("p")
-    sub.add_argument("k", type=int)
+    sub.add_argument("k", type=_int)
     _add_output(sub)
     sub.set_defaults(func=_cmd_wronskian)
 
@@ -259,7 +253,7 @@ def build_parser():
     sub.set_defaults(func=_cmd_polarize)
 
     sub = commands.add_parser("kernel-basis", help="spanning basis of the Gram kernel space")
-    sub.add_argument("--n", type=int, required=True, help="total degree cap")
+    sub.add_argument("--n", type=_int, required=True, help="total degree cap")
     sub.add_argument(
         "--caps", required=True, help="comma-separated per-variable caps"
     )
@@ -315,63 +309,39 @@ def build_parser():
     return parser
 
 
+def _shield(token):
+    """NUL-prefix a token other than -h that argparse would take for an option."""
+    if token[:1] == "-" and token[1:2] not in ("", "-") and token != "-h":
+        return "\0" + token
+    return token
+
+
+def _unshield(value):
+    if isinstance(value, list):
+        return [_unshield(item) for item in value]
+    return value[1:] if isinstance(value, str) and value[:1] == "\0" else value
+
+
+def _int(token):
+    """int for argparse, whose error quotes the token as typed."""
+    token = _unshield(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 _PARSER = build_parser()
-_COMMANDS = next(
-    action.choices
-    for action in _PARSER._actions
-    if isinstance(action, argparse._SubParsersAction)
-)
-
-
-def _reorder(argv):
-    """Move options ahead of positionals so polynomials may start with '-'.
-
-    The subcommand's own parser says which tokens are options and which of
-    them take a value; a --name that is a unique prefix of one option's
-    name stands for that option, as in argparse, and an ambiguous one is
-    left for argparse to reject. Every valued option is rewritten to
-    --name=value form; everything else after the subcommand, and every
-    token after a '--', is treated as a positional and placed behind a
-    '--' separator.
-    """
-    if not argv or argv[0] not in _COMMANDS:
-        return list(argv)
-    head, rest = argv[0], list(argv[1:])
-    actions = _COMMANDS[head]._option_string_actions
-    options, positionals = [], []
-    i = 0
-    while i < len(rest):
-        token = rest[i]
-        if token == "--":
-            positionals.extend(rest[i + 1:])
-            break
-        name, eq, value = token.partition("=")
-        if name.startswith("--") and name not in actions:
-            matches = [option for option in actions if option.startswith(name)]
-            if len(matches) == 1:
-                name = matches[0]
-                token = name + eq + value
-            elif matches:  # ambiguous: argparse rejects it
-                options.append(token)
-                i += 1
-                continue
-        if name not in actions:
-            positionals.append(token)
-        elif actions[name].nargs == 0 or "=" in token or i + 1 == len(rest):
-            options.append(token)
-        else:
-            options.append(f"{name}={rest[i + 1]}")
-            i += 1
-        i += 1
-    if not positionals:
-        return [head] + options
-    return [head] + options + ["--"] + positionals
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _PARSER.parse_args(_reorder(list(argv)))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and not argv[0].startswith("-"):
+        argv[1:] = map(_shield, argv[1:])
+    args, extras = _PARSER.parse_known_args(argv)
+    if extras:
+        _PARSER.error("unrecognized arguments: " + " ".join(map(_unshield, extras)))
+    vars(args).update({name: _unshield(value) for name, value in vars(args).items()})
     try:
         return args.func(args)
     except SospencilError as exc:

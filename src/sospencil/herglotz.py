@@ -312,7 +312,6 @@ def crosscheck_slice_criterion(
     candidates=None,
     real_grid=None,
     halfplane_grid=None,
-    holomorphy_grid=None,
 ):
     """Exact SOS decision vs numeric slice scan for f = p/q.
 
@@ -327,7 +326,7 @@ def crosscheck_slice_criterion(
     if p.nvars != q.nvars:
         raise StructuralError("p and q must share the variable count")
     real_axis, halfplane = _scan_grids(p.nvars, real_grid, halfplane_grid)
-    ok, bad_point = holomorphy_sample_check(q, holomorphy_grid)
+    ok, bad_point = holomorphy_sample_check(q)
     if not ok:
         raise PreconditionError(
             f"q vanishes at the sampled poly-halfplane point {bad_point}; "

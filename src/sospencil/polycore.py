@@ -139,9 +139,6 @@ class Polynomial:
         """Exponent/coefficient pairs in descending graded-lex order."""
         return sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
-    def coefficient(self, exps):
-        return self._terms.get(tuple(exps), Fraction(0))
-
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
         if not self._terms:
@@ -261,20 +258,6 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_rational(self, point):
-        """Exact evaluation at a tuple of Fractions/ints."""
-        if len(point) != self.nvars:
-            raise StructuralError(f"expected {self.nvars} coordinates, got {len(point)}")
-        values = [_coerce(x) for x in point]
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for x, e in zip(values, exps):
-                if e:
-                    term *= x**e
-            total += term
-        return total
-
     def eval_complex(self, point):
         """Floating evaluation at a tuple of complex numbers."""
         if len(point) != self.nvars:
@@ -377,14 +360,6 @@ class MonomialBasis:
             raise NotRepresentableError(
                 f"monomial with exponents {exps} is outside the basis"
             ) from None
-
-    def spans(self, poly):
-        """True when every monomial of ``poly`` lies in the basis."""
-        if poly.nvars != self.nvars:
-            raise StructuralError(
-                f"polynomial has {poly.nvars} variables, basis has {self.nvars}"
-            )
-        return all(e in self._index for e in poly.support())
 
 
 def check_basis(basis):

@@ -696,11 +696,12 @@ def _vertex_hunt(A0, kernel_mats, size, t):
     return None
 
 
-def _float_rref(rows, tol=1e-7):
+def _float_rref(rows):
     """Reduced echelon form with complete pivoting and unit pivots.
 
     Picking the globally largest remaining entry keeps the reduced rows
-    O(1) in magnitude, which is what makes them rationalizable.
+    O(1) in magnitude, which is what makes them rationalizable. Entries
+    below 1e-7 count as zero.
     """
     M = np.array(rows, dtype=float)
     if M.size == 0:
@@ -714,7 +715,7 @@ def _float_rref(rows, tol=1e-7):
             sub[:, c] = 0.0
         flat = int(np.argmax(sub))
         pr, pc = divmod(flat, ncols)
-        if sub[pr, pc] < tol:
+        if sub[pr, pc] < 1e-7:
             break
         pr += r
         M[[r, pr]] = M[[pr, r]]
@@ -725,7 +726,7 @@ def _float_rref(rows, tol=1e-7):
         done_cols.add(pc)
         r += 1
     M = M[:r]
-    M[np.abs(M) < tol] = 0.0
+    M[np.abs(M) < 1e-7] = 0.0
     return M
 
 
@@ -942,15 +943,15 @@ def sos_certify(F, basis=None):
     return cert
 
 
-def default_artin_candidates(nvars, max_power=ARTIN_MAX_POWER):
-    """Powers 1..max_power of the coordinate sum of squares."""
+def default_artin_candidates(nvars):
+    """Powers 1..ARTIN_MAX_POWER of the coordinate sum of squares."""
     if nvars == 0:
         return [Polynomial.one(0)]
     base = Polynomial.zero(nvars)
     for k in range(1, nvars + 1):
         v = Polynomial.variable(k, nvars)
         base = base + v * v
-    return [base**m for m in range(1, max_power + 1)]
+    return [base**m for m in range(1, ARTIN_MAX_POWER + 1)]
 
 
 def artin_certify(F, candidates=None):

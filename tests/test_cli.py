@@ -12,7 +12,7 @@ import sospencil
 from sospencil import serialize, soscert
 from sospencil.cli import main
 from sospencil.parsing import parse_polynomial
-from sospencil.soscert import artin_minimize
+from sospencil.soscert import artin_certify, artin_minimize
 
 
 DATA = Path(__file__).parent / "data"
@@ -30,7 +30,13 @@ DEFECT_P = (
 )
 DEFECT_Q = "(z1 + z2 + 1/2)*(z1 + 2*z2 + 3)"
 POLE = "z1 + z2 + 2*z3 + 1"
-# the commands of the CI step "Byte-identical documents", with their exit codes
+# documents that must not depend on the hash seed, with their exit codes:
+# the sign-symmetric refutation and the minimized Artin certificate of
+# Robinson's form, a refutation solved by eigendecomposition, face-step,
+# vertex-hunt and no-direction certificates, a defect-completing
+# realization with its Wronskian and product pencil, a kernel basis, a
+# mixed-denominator product pencil, Herglotz scans and crosschecks in three
+# variables, a DISAGREE crosscheck and an Artin search that finds nothing
 CI_LOOP = [
     (("sos", ROBINSON), 1),
     (("sos", "2*z2 - z1^2"), 1),
@@ -574,6 +580,57 @@ class TestPlumbing:
         error = json.loads(err)["error"]
         assert error["type"] == "StructuralError"
         assert option in error["message"] and repr(token) in error["message"]
+
+    @pytest.mark.parametrize("text, col", [("-z1 +* 2", 6), ("  -z1 +* 2", 8)])
+    def test_parse_error_column_of_dash_leading_polynomial(self, capsys, text, col):
+        code, out, err = run(capsys, "sos", text)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError" and error["col"] == col
+
+    def test_dash_leading_option_values_reach_the_command(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        code, _, err = run(capsys, "kernel-basis", "--n", "2", "--caps", "-x")
+        assert code == 2
+        assert json.loads(err)["error"]["message"] == "--caps: '-x' is not an integer"
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "sos", "z1^2 + 1", "--output", "-x.json")
+        assert code == 0 and err == ""
+        assert (tmp_path / "-x.json").read_text() == out
+        F = parse_polynomial("z1^2 + 1")
+        found = artin_certify(F, [-parse_polynomial("z1"), parse_polynomial("z1")])
+        expected = {"schema": 1, "command": "artin", **serialize.artin_json(found)}
+        code, doc = run_json(
+            capsys, "artin", "z1^2 + 1", "--candidates", "-z1", "--candidates", "z1"
+        )
+        assert code == 0
+        assert doc == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("kernel-basis", "--n", "-x", "--caps", "1"), "--n: invalid int value: '-x'"),
+            (("wronskian", "z1", "1", "-x"), "k: invalid int value: '-x'"),
+            (("sos", "z1^2 + 1", "-x"), "unrecognized arguments: -x"),
+        ],
+    )
+    def test_usage_errors_quote_dash_leading_tokens_as_typed(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f" {message}\n")
+
+    def test_help_after_the_subcommand_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sos", "-h"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sospencil sos")
+
+    def test_double_dash_token_that_is_no_option_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sos", "--z1"])
+        assert info.value.code == 2
 
     def test_parse_error_structured(self, capsys):
         code, out, err = run(capsys, "sos", "z1 +")
