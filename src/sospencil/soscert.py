@@ -424,6 +424,11 @@ class _Family:
     a diagonal entry stores half its matrix value so that one formula covers
     both cases. A direction may have any number of entries, none included:
     Gram-kernel elements have one or two, the identity direction has N.
+
+    The scatter that makes each Schur block's directions dense is built
+    once per family, by its first schur call, so a family that is only
+    combined (the face step's) never builds it. schur's results are those
+    of scattering afresh on every call, bit for bit.
     """
 
     def __init__(self, mats, size, identity=None):
@@ -455,6 +460,7 @@ class _Family:
         # flat indices of (p, q) and (q, p) in an N x N matrix
         self.pq = rows * size + cols
         self.qp = cols * size + rows
+        self.scatter = None  # the Schur blocks, built by the first schur call
 
     def inner(self, G):
         """tr(F_k G) for every k (G need not be symmetric)."""
@@ -470,46 +476,62 @@ class _Family:
         out += np.bincount(self.qp, weights, cells)
         return out.reshape(self.size, self.size)
 
-    def schur(self, X, Zi):
-        """M_kl = tr(F_k X F_l Zi), symmetrized.
+    def _schur_blocks(self):
+        """Blocks of whole directions l0..l1-1, each holding at most
+        _SCHUR_BLOCK entries of G, with the flat indices and weights whose
+        bincount is the block's dense stack of F_l as l1 - l0 rows of N^2.
 
-        For a block of whole directions, the F_l are made dense and
-        G_l = X F_l Zi is formed for all of them by two batched products;
-        column l of M is then read from G_l at the entries of every F_k. A
-        block holds at most _SCHUR_BLOCK entries of G. M is symmetric in
-        exact arithmetic, and (M + M^T) / 2 keeps it so in floating point.
+        The indices list every (p, q) cell, then every (q, p) cell. A
+        direction's entries are distinct cells with p <= q, so a cell
+        repeats within a block only for a diagonal entry, which sums
+        0 + v + v as the two scatters of the plain formulation do.
         """
-        N = self.size
-        cells = N * N
+        cells = self.size * self.size
         step = max(1, _SCHUR_BLOCK // cells)
-        M = np.zeros((self.count, self.count))
+        blocks = []
         for l0 in range(0, self.count, step):
             l1 = min(self.count, l0 + step)
             e0, e1 = self.starts[l0], self.ends[l1 - 1]
-            owner, v = self.owner[e0:e1] - l0, self.vals[e0:e1]
-            F = np.zeros((l1 - l0, cells))
-            # a direction's entries are distinct cells with p <= q, so no
-            # index repeats within one scatter; a diagonal entry gets both
-            F[owner, self.pq[e0:e1]] += v
-            F[owner, self.qp[e0:e1]] += v
-            G = ((X @ F.reshape(-1, N, N)).reshape(-1, N) @ Zi).reshape(-1, cells).T
+            base = (self.owner[e0:e1] - l0) * cells
+            index = np.concatenate((base + self.pq[e0:e1], base + self.qp[e0:e1]))
+            weights = np.tile(self.vals[e0:e1], 2)
+            blocks.append((l0, l1, index, weights, (l1 - l0) * cells))
+        return blocks
+
+    def schur(self, X, Zi):
+        """M_kl = tr(F_k X F_l Zi), symmetrized.
+
+        For a block of whole directions (_schur_blocks), the F_l are made
+        dense by one bincount, and G_l = X F_l Zi is formed for all of them
+        by two batched products; column l of M is then read from G_l at the
+        entries of every F_k. M is symmetric in exact arithmetic, and
+        (M + M^T) / 2 keeps it so in floating point.
+        """
+        if self.scatter is None:
+            self.scatter = self._schur_blocks()
+        N = self.size
+        M = np.zeros((self.count, self.count))
+        for l0, l1, index, weights, length in self.scatter:
+            F = np.bincount(index, weights, length).reshape(-1, N, N)
+            G = ((X @ F).reshape(-1, N) @ Zi).reshape(-1, N * N).T
             T = (G[self.pq] + G[self.qp]) * self.vals[:, None]
             M[self.nonempty, l0:l1] = np.add.reduceat(T, self.heads, axis=0)
         return 0.5 * (M + M.T)
 
 
-def _inverse_choleskys(X, Z):
-    """L with L[0] X L[0]^T = I and L[1] Z L[1]^T = I, from one stacked
-    Cholesky and inverse; raises LinAlgError unless both are positive
-    definite."""
-    return np.linalg.inv(np.linalg.cholesky(np.stack((X, Z))))
+def _inverse_choleskys(XZ):
+    """L with L[0] X L[0]^T = I and L[1] Z L[1]^T = I for the stacked pair
+    XZ = (X, Z), from one stacked Cholesky and inverse; raises LinAlgError
+    unless both are positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(XZ))
 
 
-def _max_steps(L, dX, dZ):
-    """The largest alphas with X + alpha dX and Z + alpha dZ still PSD, L
-    from _inverse_choleskys(X, Z), from one stacked eigvalsh."""
-    low = np.linalg.eigvalsh(L @ np.stack((dX, dZ)) @ L.transpose(0, 2, 1))[:, 0]
-    return [math.inf if v >= 0 else -1.0 / float(v) for v in low]
+def _max_steps(L, dXZ):
+    """The largest alphas with X + alpha dX and Z + alpha dZ still PSD, for
+    the stacked pair dXZ = (dX, dZ) and L from _inverse_choleskys, from one
+    stacked eigvalsh."""
+    low = np.linalg.eigvalsh(L @ dXZ @ L.transpose(0, 2, 1))[:, 0]
+    return [math.inf if v >= 0 else -1.0 / v for v in low.tolist()]
 
 
 def _ipm(C, fam, b):
@@ -527,25 +549,37 @@ def _ipm(C, fam, b):
     _IPM_STALL iterations, the Newton system breaks down in floating point
     or _IPM_MAX_ITERS is reached (not converged). Returns the best iterate
     as (y, X, converged).
+
+    An iteration makes few numpy calls: the stacked pairs (X, Z) and
+    (dX, dZ) live in buffers allocated once per call, the family's Schur
+    scatter is built once (_Family.schur), and the predictor (target 0, no
+    second-order term) has its own formula. Every floating-point operation
+    is that of the plain formulation kept in tests/_ipm_reference.py, in the
+    same order, so the iterates are that formulation's bit for bit.
     """
     N = C.shape[0]
     c_norm = 1.0 + float(np.linalg.norm(C))
     b_norm = 1.0 + float(np.linalg.norm(b))
     start = max(10.0, math.sqrt(N), c_norm)
+    inner, combine, schur = fam.inner, fam.combine, fam.schur
+    solve, vdot, sqrt = np.linalg.solve, np.vdot, math.sqrt
+    XZ = np.empty((2, N, N))
+    predictor = np.empty((2, N, N))
+    corrector = np.empty((2, N, N))
+    dXa, dZa = predictor
+    dXc, dZc = corrector
     X, Z = start * np.eye(N), start * np.eye(N)
     y = np.zeros(fam.count)
     best = (math.inf, y, X)
     since_best = 0
     for _ in range(_IPM_MAX_ITERS):
-        rp = -b - fam.inner(X)
-        Rd = C + fam.combine(y) - Z
-        gap = float(np.vdot(X, Z))
-        scale = 1.0 + abs(float(np.vdot(C, X))) + abs(float(b @ y))
-        error = max(
-            gap / scale,
-            float(np.linalg.norm(rp)) / b_norm,
-            float(np.linalg.norm(Rd)) / c_norm,
-        )
+        rp = -b - inner(X)
+        Rd = C + combine(y) - Z
+        rd = Rd.ravel()
+        gap = float(vdot(X, Z))
+        scale = 1.0 + abs(float(vdot(C, X))) + abs(float(b @ y))
+        # sqrt(v @ v) is np.linalg.norm(v), bit for bit
+        error = max(gap / scale, sqrt(rp @ rp) / b_norm, sqrt(rd @ rd) / c_norm)
         if error < best[0]:
             best, since_best = (error, y, X), 0
         else:
@@ -553,30 +587,38 @@ def _ipm(C, fam, b):
         if error <= _IPM_TOL or since_best >= _IPM_STALL:
             break
         mu = gap / N
+        XZ[0] = X
+        XZ[1] = Z
         try:
-            L = _inverse_choleskys(X, Z)
+            L = _inverse_choleskys(XZ)
             Zi = L[1].T @ L[1]
-            M = fam.schur(X, Zi)
+            M = schur(X, Zi)
             XRdZi = X @ Rd @ Zi
-
-            def direction(target, corr):
-                rhs = fam.inner(target * Zi - X - XRdZi - corr) - rp
-                dy = np.linalg.solve(M, rhs)
-                dZ = Rd + fam.combine(dy)
-                dX = target * Zi - X - X @ dZ @ Zi - corr
-                return 0.5 * (dX + dX.T), dy, dZ
-
-            dXa, _dya, dZa = direction(0.0, 0.0)
-            ap, ad = (min(1.0, step) for step in _max_steps(L, dXa, dZa))
-            mu_aff = float(np.vdot(X + ap * dXa, Z + ad * dZa)) / N
+            # the HKM direction for target t and second-order term corr is
+            #   dy = M^-1 (inner(t Zi - X - X Rd Zi - corr) - rp),
+            #   dZ = Rd + combine(dy),  dX = sym(t Zi - X - X dZ Zi - corr).
+            # The predictor has t = 0 and corr = 0. It computes t Zi - X once
+            # and drops the "- 0.0", which changes no bit; -X in place of
+            # 0.0 Zi - X would change the sign of some zeros.
+            head = 0.0 * Zi - X
+            dy = solve(M, inner(head - XRdZi) - rp)
+            np.add(Rd, combine(dy), out=dZa)
+            dX = head - X @ dZa @ Zi
+            np.multiply(0.5, dX + dX.T, out=dXa)
+            ap, ad = (min(1.0, step) for step in _max_steps(L, predictor))
+            mu_aff = float(vdot(X + ap * dXa, Z + ad * dZa)) / N
             sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
-            dX, dy, dZ = direction(sigma * mu, dXa @ dZa @ Zi)
-            ap, ad = (min(1.0, _STEP_FRACTION * step) for step in _max_steps(L, dX, dZ))
+            target, corr = sigma * mu, dXa @ dZa @ Zi
+            dy = solve(M, inner(target * Zi - X - XRdZi - corr) - rp)
+            np.add(Rd, combine(dy), out=dZc)
+            dX = target * Zi - X - X @ dZc @ Zi - corr
+            np.multiply(0.5, dX + dX.T, out=dXc)
+            ap, ad = (min(1.0, _STEP_FRACTION * step) for step in _max_steps(L, corrector))
         except np.linalg.LinAlgError:
             break
-        X = X + ap * dX
+        X = X + ap * dXc
         y = y + ad * dy
-        Z = Z + ad * dZ
+        Z = Z + ad * dZc
     error, y, X = best
     return y, X, error <= _IPM_TOL
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _fraction_reference as reference
+import _ipm_reference
 from _helpers import random_square_sum
 from sospencil.errors import (
     CapacityError,
@@ -523,6 +524,7 @@ class TestInteriorPoint:
         y = np.array([rng.uniform(-1, 1) for _ in dense])
         schur = [[np.trace(Fk @ X @ Fl @ Zi) for Fl in dense] for Fk in dense]
         assert np.allclose(fam.schur(X, Zi), schur, rtol=1e-12, atol=1e-12)
+        assert fam.schur(X, Zi).tobytes() == _ipm_reference.schur(fam, X, Zi).tobytes()
         assert np.allclose(fam.inner(G), [np.trace(Fk @ G) for Fk in dense])
         assert np.allclose(fam.combine(y), sum(c * Fk for c, Fk in zip(y, dense)))
 
@@ -561,6 +563,7 @@ class TestInteriorPoint:
         fam = soscert._Family(mats, size, identity=identity)
         with mock.patch.object(soscert, "_SCHUR_BLOCK", block):
             schur = fam.schur(X, Zi)
+            assert schur.tobytes() == _ipm_reference.schur(fam, X, Zi).tobytes()
         inner, combined = fam.inner(G), fam.combine(y)
 
         def close(actual, expected):
@@ -632,6 +635,119 @@ class TestInteriorPoint:
             )
         )
         assert passed.margin == 1.0 and passed.dual_matrix is not None
+
+
+def herglotz_w1(a, l0, poles):
+    """W_1 = q dp/dz1 - p dq/dz1 of f = p / q = a z1 + l0 - sum c / (z1 + l)
+    over the poles (c, l); f is Herglotz when a >= 0 and every c > 0, and a
+    flipped companion negates one c."""
+    factors = [f"(z1 + {l})" for _, l in poles]
+    q = "*".join(factors)
+    p = f"(({a})*z1 + ({l0}))*{q}" + "".join(
+        f" - ({c})*" + ("*".join(factors[:k] + factors[k + 1:]) or "1")
+        for k, (c, _) in enumerate(poles)
+    )
+    return wronskian(poly(q, 1), poly(p, 1), 1)
+
+
+# a sum of squares on which the face step finds nothing, so the vertex hunt runs
+STRESS_SQUARES = (
+    "(-4*z3^2 + 3*z1 - 5*z2)^2 + (-5*z1*z3 - z2^2 + 1/2)^2 + (-1/2*z1^2 - 1/2*z2*z3)^2"
+)
+
+
+class TestIpmMatchesReference:
+    """_ipm and _Family.schur give the plain formulation's results
+    (tests/_ipm_reference.py) bit for bit."""
+
+    @staticmethod
+    def certify_checked(F, monkeypatch):
+        """sos_certify(F), with every _ipm call checked against the
+        reference; returns the families solved."""
+        families = []
+        ipm = soscert._ipm
+
+        def checked(C, fam, b):
+            y, X, converged = ipm(C, fam, b)
+            y0, X0, converged0 = _ipm_reference._ipm(C, fam, b)
+            assert y.tobytes() == y0.tobytes()
+            assert X.tobytes() == X0.tobytes()
+            assert converged == converged0
+            families.append(fam)
+            return y, X, converged
+
+        monkeypatch.setattr(soscert, "_ipm", checked)
+        sos_certify(F)
+        return families
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MOTZKIN,
+            f"(z1^2 + z2^2)^2*({MOTZKIN})",
+            CHOI_LAM,
+            ROBINSON,
+            TERNARY_MOTZKIN,
+        ],
+    )
+    def test_forms(self, text, monkeypatch):
+        assert self.certify_checked(poly(text), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "a, l0, poles",
+        [
+            (1, 1, [(1, 1), (2, 3)]),
+            (1, 1, [(1, 1), (-2, 3)]),
+            ("1/2", -1, [(1, 1), (3, 2), (1, 4)]),
+            ("1/2", -1, [(1, 1), (-3, 2), (1, 4)]),
+        ],
+    )
+    def test_herglotz_wronskians(self, a, l0, poles, monkeypatch):
+        assert self.certify_checked(herglotz_w1(a, l0, poles), monkeypatch)
+
+    def test_vertex_hunt(self, monkeypatch):
+        hunts = []
+        hunt = soscert._vertex_hunt
+
+        def spy(*args):
+            hunts.append(args)
+            return hunt(*args)
+
+        monkeypatch.setattr(soscert, "_vertex_hunt", spy)
+        assert len(self.certify_checked(poly(STRESS_SQUARES), monkeypatch)) > 1
+        assert hunts
+
+    def test_many_schur_blocks(self, monkeypatch):
+        # six directions of the 18 x 18 family per Schur block
+        monkeypatch.setattr(soscert, "_SCHUR_BLOCK", 6 * 18 * 18)
+        families = self.certify_checked(poly(TERNARY_MOTZKIN), monkeypatch)
+        assert max(len(fam.scatter) for fam in families) >= 3
+
+    def test_schur_scatter_is_built_once(self, monkeypatch):
+        # two directions per block; the middle block's directions have no
+        # entries, so its scatter is empty and reduceat skips both
+        monkeypatch.setattr(soscert, "_SCHUR_BLOCK", 2 * 4 * 4)
+        rng = random.Random(3)
+        mats = TestInteriorPoint.family(rng, 4, 5)
+        mats[2:4] = [SymMatrix(4), SymMatrix(4)]
+        fam = soscert._Family(mats, 4, identity=-1.0)
+        fam.combine(np.arange(6.0))
+        fam.inner(np.eye(4))
+        assert fam.scatter is None  # a family only combined builds no scatter
+        scatter = None
+        for _ in range(2):
+            X, Zi = TestInteriorPoint.spd(rng, 4), TestInteriorPoint.spd(rng, 4)
+            M = fam.schur(X, Zi)
+            assert M.tobytes() == _ipm_reference.schur(fam, X, Zi).tobytes()
+            assert not M[2:4].any() and not M[:, 2:4].any()
+            assert scatter is None or fam.scatter is scatter
+            scatter = fam.scatter
+        # each block scatters every entry of its directions twice
+        entries = [len(S.entries()) for S in mats] + [4]
+        assert [(l0, l1, len(index)) for l0, l1, index, _w, _n in scatter] == [
+            (l0, l0 + 2, 2 * sum(entries[l0 : l0 + 2])) for l0 in (0, 2, 4)
+        ]
+        assert len(scatter[1][2]) == 0
 
 
 @st.composite
@@ -981,7 +1097,7 @@ class TestStackedFactorizations:
             B, C, E, G = rng.standard_normal((4, N, N))
             X, Z = B @ B.T + 0.1 * np.eye(N), C @ C.T + 0.1 * np.eye(N)
             dX, dZ = E + E.T, G + G.T
-            L = soscert._inverse_choleskys(X, Z)
+            L = soscert._inverse_choleskys(np.stack((X, Z)))
             singles = [np.linalg.inv(np.linalg.cholesky(P)) for P in (X, Z)]
             assert L[0].tobytes() == singles[0].tobytes()
             assert L[1].tobytes() == singles[1].tobytes()
@@ -992,11 +1108,11 @@ class TestStackedFactorizations:
                 for Li, Di in zip(singles, D):
                     low = float(np.linalg.eigvalsh(Li @ Di @ Li.T)[0])
                     expected.append(math.inf if low >= 0 else -1.0 / low)
-                assert soscert._max_steps(L, *D) == expected
+                assert soscert._max_steps(L, np.stack(D)) == expected
 
     def test_factorization_failure_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            soscert._inverse_choleskys(np.eye(2), -np.eye(2))
+            soscert._inverse_choleskys(np.stack((np.eye(2), -np.eye(2))))
 
 
 class TestArtin:
