@@ -181,9 +181,7 @@ def _cmd_realize(args):
             {
                 "status": "no_certificate",
                 "message": str(exc),
-                "evidence": serialize.evidence_json(exc.evidence)
-                if exc.evidence is not None
-                else None,
+                "evidence": serialize.evidence_json(exc.evidence),
             },
             args,
         )

@@ -31,13 +31,10 @@ class NotRepresentableError(SospencilError):
 
 
 class NoCertificateError(SospencilError):
-    """Certification failed; carries the infeasibility evidence, if any.
+    """Certification failed; ``evidence`` is the certifier's
+    InfeasibilityEvidence."""
 
-    ``evidence`` is the InfeasibilityEvidence produced by the certifier, or
-    None when the failure happened before any dual information existed.
-    """
-
-    def __init__(self, message, evidence=None):
+    def __init__(self, message, evidence):
         super().__init__(message)
         self.evidence = evidence
 

@@ -10,10 +10,10 @@ pivoting, which is exact and doubles as the square-extraction backend for
 certificates. It runs fraction-free (Bareiss) elimination on the integer
 matrix lcm * A (_integer_matrix): psd_factor over all indices, is_psd per
 connected component of the nonzero entries. Every other elimination
-(rref, solve_sparse, sparse_rank) is one Gauss-Jordan elimination on
-sparse integer rows, each kept primitive (_sparse_rref). Both return the
-same Fractions as elimination done in Fraction (the tests keep that
-elimination as their reference).
+(rref, solve_sparse, sparse_nullspace, sparse_rank) is one Gauss-Jordan
+elimination on sparse integer rows, each kept primitive (_sparse_rref).
+Both return the same Fractions as elimination done in Fraction (the tests
+keep that elimination as their reference).
 """
 
 from __future__ import annotations
@@ -240,17 +240,29 @@ def rref(rows):
     return out, pivots
 
 
+def _homogeneous(reduced, ncols):
+    """The homogeneous basis of a _sparse_rref over ncols unknowns, as
+    sparse vectors: one per free column, in increasing order, equal to 1
+    there and 0 at the other free columns."""
+    basis = {free: {free: Fraction(1)} for free in range(ncols) if free not in reduced}
+    for c, row in reduced.items():
+        # a pivot row vanishes at the other pivot columns
+        for k, x in row.items():
+            if k != c and k != ncols:
+                basis[k][c] = Fraction(-x, row[c])
+    return list(basis.values())
+
+
 def solve_sparse(rows, rhs, ncols):
     """All solutions x (of length ncols) of rows @ x = rhs, rows sparse.
 
     Each row is a dict {column: rational}, columns below ncols. Returns
     (particular, homogeneous_basis) as dense Fraction vectors, read off one
     RREF of the augmented system (the right-hand side is column ncols):
-    the particular solution is zero at the free columns, and the basis has
-    one vector per free column, in increasing order, equal to 1 there and
-    0 at the other free columns. Returns None when the system is
-    inconsistent. Raises StructuralError when rhs and rows differ in length
-    or a column is not an int in [0, ncols).
+    the particular solution is zero at the free columns, and the basis is
+    _homogeneous's. Returns None when the system is inconsistent. Raises
+    StructuralError when rhs and rows differ in length or a column is not
+    an int in [0, ncols).
     """
     if len(rhs) != len(rows):
         raise StructuralError(f"solve_sparse got {len(rows)} rows but {len(rhs)} right-hand sides")
@@ -266,17 +278,19 @@ def solve_sparse(rows, rhs, ncols):
     for c, row in reduced.items():
         if ncols in row:
             particular[c] = Fraction(row[ncols], row[c])
-    basis = {}
-    for free in range(ncols):
-        if free not in reduced:
-            basis[free] = [zero] * ncols
-            basis[free][free] = Fraction(1)
-    for c, row in reduced.items():
-        # a pivot row vanishes at the other pivot columns
-        for k, x in row.items():
-            if k != c and k != ncols:
-                basis[k][c] = Fraction(-x, row[c])
-    return particular, list(basis.values())
+    basis = []
+    for vector in _homogeneous(reduced, ncols):
+        basis.append([zero] * ncols)
+        for c, x in vector.items():
+            basis[-1][c] = x
+    return particular, basis
+
+
+def sparse_nullspace(rows, ncols):
+    """The homogeneous basis of solve_sparse(rows, [0, ...], ncols), each
+    vector a dict {column: Fraction} without its zeros. The columns are
+    not checked against ncols."""
+    return _homogeneous(_sparse_rref([_integer_row(row) for row in rows]), ncols)
 
 
 def sparse_rank(rows):

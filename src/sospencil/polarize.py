@@ -14,6 +14,12 @@ The construction is bottom-up: a chain pencil in abstract slot variables,
 specialized to a pencil for a single monomial pair (alpha, beta), summed
 bilinearly over the terms of q and p. Everything is exact.
 
+Any two pencils with the same identity differ by a null pencil, one whose
+identity has right-hand side zero. ``_identity_system`` writes that
+identity as one sparse linear system over the pencil's entries;
+``null_pencils`` returns its homogeneous solutions, and
+``gramkernel.defect_completion`` solves it with one matrix given.
+
 A pair pencil depends only on (alpha, beta, basis), so it is built once and
 kept in a bounded memo, a ``functools.lru_cache`` of ``_PAIR_MEMO_SIZE``
 (1024) keys. The key is the validated exponent tuples and the basis, which
@@ -31,9 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalConsistencyError, PreconditionError, StructuralError
-from .exactlinalg import SymMatrix
+from .errors import CapacityError, InternalConsistencyError, PreconditionError, StructuralError
+from .exactlinalg import SymMatrix, sparse_nullspace
 from .polycore import MonomialBasis, Polynomial, _integer_terms, check_basis, wronskian
+
+# Largest basis over which an exact family is built: null_pencils here,
+# kernel_basis in gramkernel and sos_certify in soscert. A Gram family has
+# about N^2 / 2 pairs, the null-pencil system (d + 1) times as many columns.
+GRAM_CAPACITY = 120
 
 # Pair pencils kept by _pair_pencil_entries; one wronskian-batch round of
 # the benchmark needs 128.
@@ -338,6 +349,55 @@ def product_polarization(q, p):
     return _pencil_over(
         basis, q_den * p_den * scale, (key + (n,) for key, n in sums.items())
     )
+
+
+def _identity_system(basis):
+    """Coefficient equations of (K_0 + z_1 K_1 + ... + z_d K_d) Psi(z)^T == 0.
+
+    Returns (columns, rows). Column c stands for entry (i, j), i <= j, of
+    K_k with columns[c] = (k, i, j): every entry of K_1, then of K_2, ...,
+    K_d, and last of K_0, the matrix of the auxiliary variable in the
+    homogenized order. Each row is one coefficient z^e of one row of the
+    product, as a sparse dict {column: 1}: entry (i, j) of K_k reaches
+    z^(m_j + e_k) in row i and z^(m_i + e_k) in row j.
+    """
+    d = basis.nvars
+    N = len(basis)
+    columns = [(k, i, j) for k in (*range(1, d + 1), 0) for i in range(N) for j in range(i, N)]
+    shifted = [basis.monomials]
+    for k in range(d):
+        shifted.append([m[:k] + (m[k] + 1,) + m[k + 1:] for m in basis.monomials])
+    equations = {}
+    for c, (k, i, j) in enumerate(columns):
+        equations.setdefault((i, shifted[k][j]), {})[c] = 1
+        if i != j:
+            equations.setdefault((j, shifted[k][i]), {})[c] = 1
+    return columns, list(equations.values())
+
+
+def _check_capacity(N):
+    """Raise CapacityError for a family over more than GRAM_CAPACITY
+    basis monomials."""
+    if N > GRAM_CAPACITY:
+        raise CapacityError(f"Gram basis has {N} monomials, capacity {GRAM_CAPACITY}")
+
+
+def null_pencils(basis):
+    """A basis of the null pencils over ``basis``: the symmetric pencils K
+    with (K_0 + z_1 K_1 + ... + z_d K_d) Psi(z)^T == 0, the homogeneous
+    solutions of _identity_system, one per free column. Raises
+    CapacityError above GRAM_CAPACITY basis monomials."""
+    check_basis(basis)
+    _check_capacity(len(basis))
+    columns, rows = _identity_system(basis)
+    pencils = []
+    for vector in sparse_nullspace(rows, len(columns)):
+        matrices = [SymMatrix(len(basis)) for _ in range(basis.nvars + 1)]
+        for c, value in sorted(vector.items()):
+            k, i, j = columns[c]
+            matrices[k]._entries[i, j] = value
+        pencils.append(SymmetricPencil(basis, tuple(matrices)))
+    return pencils
 
 
 def _identity_residuals(pencil, q, p):

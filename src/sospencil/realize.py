@@ -1,24 +1,21 @@
-"""Positive pencil realization of a rational function p/q.
+"""Positive pencil realizations of a rational function p/q.
 
-Given p, q and a helper denominator s with s^2 W_1[q, p] a certified sum of
-squares, builds symmetric matrices A_0..A_d over the product-pencil basis
-(total cap max(deg p, deg q) + deg s, per-variable caps accordingly) with
+Given p, q and a helper denominator s, builds symmetric matrices A_0..A_d
+over the product-pencil basis of (qs, ps) with
 
     Psi(zeta) (A_0 + z_1 A_1 + ... + z_d A_d) Psi(z)^T
         = q(zeta)s(zeta) * p(z)s(z),
 
-Psi A_k Psi^T = s^2 W_k[q, p] for every k, and A_1 positive semidefinite
-equal to the certificate's Gram matrix. The recipe: take the product pencil
-B for (qs, ps), swap its axis-1 matrix for the certified Gram matrix, and
-repair the damage (a kernel matrix) with a defect completion on axis 1.
+so Psi A_k Psi^T = s^2 W_k[q, p], and A_k positive semidefinite on every
+axis when the search allows it (Bessmertnyi's long-resolvent
+representations, Oper. Theory Adv. Appl. 134, 2002), else on axis 1 alone.
 
-Each construction invariant is checked once, by the stage that needs it.
-`sos_certify` accepts the Gram matrix only if it represents s^2 W_1 and
-factors as PSD. `defect_completion` checks that the defect gram - B_1
-annihilates Psi and vanishes on the rows at the top z1 degree (B_1 does,
-and so does any PSD Gram matrix, since s^2 W_1 has z1-degree below twice
-that cap), and that its completion annihilates Psi. `verify_realization`
-then re-derives every invariant of the finished pencil.
+Every such pencil is B + sum lam_i K_i, with B the product pencil and K_i
+the null pencils (polarize.null_pencils). B is taken when its wanted axes
+are PSD; otherwise one _solve_family call searches the block-diagonal
+family diag(B_k) + sum lam_i diag(K_i,k). A row whose diagonal is zero
+in B_k and in every K_i,k goes in as an exact zero, since a PSD member
+vanishes on it. `verify_realization` re-derives every invariant exactly.
 """
 
 from __future__ import annotations
@@ -31,31 +28,47 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .exactlinalg import is_psd
-from .gramkernel import defect_completion
+from .exactlinalg import SymMatrix, is_psd
 from .polarize import (
     SymmetricPencil,
     _identity_residuals,
+    null_pencils,
     product_polarization,
     quadratic_form_polynomial,
 )
 from .polycore import Polynomial, wronskian
-from .soscert import SosCertificate, sos_certify
+from .soscert import (
+    _INFEAS_TOL,
+    InfeasibilityEvidence,
+    SosCertificate,
+    _affine_point,
+    _certificate_from_gram,
+    _numeric_evidence,
+    _solve_family,
+)
 
 
 @dataclass(frozen=True)
 class Realization:
-    """Symmetric pencil realization with a PSD axis-1 matrix."""
+    """Symmetric pencil realization, PSD on each axis in psd_axes (axis 1
+    always among them)."""
 
     pencil: SymmetricPencil
     p: Polynomial
     q: Polynomial
     s: Polynomial
     certificate: SosCertificate
+    psd_axes: tuple
 
 
 def wronskian_realization(p, q, s):
-    """Build and fully verify a Realization for (p, q, s)."""
+    """Build and fully verify a Realization for (p, q, s).
+
+    Raises NoCertificateError when no pencil B + sum lam_i K_i has a PSD
+    axis-1 matrix, with the axis-1 search's evidence (a dual matrix indexed
+    by the basis, zero on the pinned rows), and CapacityError when the null
+    pencils are needed over more than GRAM_CAPACITY basis monomials.
+    """
     for name, poly in (("p", p), ("q", q), ("s", s)):
         if not isinstance(poly, Polynomial):
             raise StructuralError(f"{name} must be a Polynomial")
@@ -69,22 +82,31 @@ def wronskian_realization(p, q, s):
         raise PreconditionError("the helper denominator s must be nonzero")
 
     B = product_polarization(q * s, p * s)
-    outcome = sos_certify(s * s * wronskian(q, p, 1), basis=B.basis)
-    if not isinstance(outcome, SosCertificate):
+    d = B.nvars
+    null = None
+    for axes in [tuple(range(1, d + 1))] + [(1,)] * (d > 1):
+        if all(is_psd(B.matrices[k]) for k in axes):
+            pencil = B
+            break
+        if null is None:
+            null = null_pencils(B.basis)
+        pencil, evidence = _psd_member(B, null, axes)
+        if pencil is not None:
+            break
+    else:
         raise NoCertificateError(
-            "s^2 W_1[q, p] did not certify as a sum of squares over the "
-            "pencil basis",
-            evidence=outcome,
+            "no pencil B + sum lam_i K_i over the product-pencil basis has a "
+            "PSD axis-1 matrix",
+            evidence=evidence,
         )
 
-    try:
-        completion = defect_completion(outcome.gram - B.matrices[1], B.basis, 1)
-    except PreconditionError as exc:
-        raise InternalConsistencyError(
-            f"the axis-1 defect matrix violates the completion hypotheses: {exc}"
-        ) from exc
+    certificate = _certificate_from_gram(
+        s * s * wronskian(q, p, 1), B.basis, pencil.matrices[1]
+    )
+    if certificate is None:
+        raise InternalConsistencyError("the axis-1 matrix lost semidefiniteness")
     realization = Realization(
-        pencil=B + completion, p=p, q=q, s=s, certificate=outcome
+        pencil=pencil, p=p, q=q, s=s, certificate=certificate, psd_axes=axes
     )
     ok, report = verify_realization(realization)
     if not ok:
@@ -93,6 +115,50 @@ def wronskian_realization(p, q, s):
             f"constructed realization failed verification: {failed}"
         )
     return realization
+
+
+def _psd_member(B, null, axes):
+    """(pencil, None) with pencil = B + sum lam_i K_i PSD on every axis in
+    axes, or (None, evidence) when the search finds none."""
+    N = len(B.basis)
+    size = len(axes) * N
+
+    def blocks(pencil):
+        out = SymMatrix(size)
+        for n, k in enumerate(axes):
+            out._entries.update(
+                ((i + n * N, j + n * N), v) for (i, j), v in pencil.matrices[k].entries()
+            )
+        return out
+
+    A0 = blocks(B)
+    directions = [blocks(K) for K in null]
+    diagonal = {i for S in (A0, *directions) for (i, j), _ in S.entries() if i == j}
+    zeros = [
+        [int(i == r) for i in range(size)]
+        for r in range(size)
+        if r not in diagonal
+    ]
+    gram, lam, solve = _solve_family(A0, directions, size, zeros)
+    if gram is not None:
+        matrices = tuple(
+            _affine_point(B.matrices[k], [K.matrices[k] for K in null], lam)
+            for k in range(B.nvars + 1)
+        )
+        return SymmetricPencil(B.basis, matrices), None
+    if solve is None:
+        return None, InfeasibilityEvidence(
+            reason="no pencil B + sum lam_i K_i vanishes on the rows its zero "
+            f"diagonal entries pin on axes {list(axes)}"
+        )
+    if solve.t < -_INFEAS_TOL:
+        return None, _numeric_evidence(
+            solve, reason=f"no pencil B + sum lam_i K_i is PSD on axes {list(axes)}"
+        )
+    return None, InfeasibilityEvidence(
+        reason="numeric search found a near-feasible point but no exact "
+        "rounding succeeded"
+    )
 
 
 def verify_realization(realization):
@@ -119,6 +185,7 @@ def verify_realization(realization):
         and quadratic_form_polynomial(pencil.matrices[1], basis) == squares
     )
 
-    report["axis1_psd"] = is_psd(pencil.matrices[1])
+    for k in realization.psd_axes:
+        report[f"axis{k}_psd"] = is_psd(pencil.matrices[k])
 
     return all(report.values()), report

@@ -164,5 +164,6 @@ def realization_json(realization):
         "q": polynomial_json(realization.q),
         "s": polynomial_json(realization.s),
         "pencil": pencil_json(realization.pencil),
+        "psd_axes": list(realization.psd_axes),
         "certificate": certificate_json(realization.certificate),
     }

@@ -52,7 +52,7 @@ PSD test reads those numerators, so a failed rounding builds no Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -72,8 +72,8 @@ from .exactlinalg import (
     rref,
     solve_sparse,
 )
-from .gramkernel import GRAM_CAPACITY, _check_capacity, _pair_classes, kernel_basis
-from .polarize import quadratic_form_polynomial
+from .gramkernel import _pair_classes, kernel_basis
+from .polarize import GRAM_CAPACITY, _check_capacity, quadratic_form_polynomial
 from .polycore import MonomialBasis, Polynomial, basis_key, build_basis, check_basis
 
 ARTIN_MAX_POWER = 3
@@ -814,14 +814,19 @@ def _solve_family(A0, kernel_mats, size, zeros=()):
     _face_system), and the search runs on the coordinates outside their
     pivots (a symmetric matrix annihilating them is PSD exactly when that
     restriction is). The max-min-eig optimum is rounded and lifted back.
-    Returns (gram, solve): an exact PSD member or None, and the _MaxMinEig
-    the search ended on; (None, None) when no member annihilates the zeros.
+    Returns (gram, lam, solve): an exact PSD member gram = A0 + sum lam_i S_i
+    and its lam over the given directions, or None and None, and the
+    _MaxMinEig the search ended on; (None, None, None) when no member
+    annihilates the zeros. With zeros, the _MaxMinEig's dual is lifted back
+    to the given size, zero on the pivots; its margin and residuals are
+    those of the restricted family.
     """
     family = A0, kernel_mats
+    given = size
     if zeros:
         solution = solve_sparse(*_face_system(A0, kernel_mats, zeros), len(kernel_mats))
         if solution is None:
-            return None, None
+            return None, None, None
         lam_p, H = solution
         A0 = _affine_point(A0, kernel_mats, lam_p)
         kernel_mats = [_affine_point(SymMatrix(size), kernel_mats, h) for h in H]
@@ -830,10 +835,25 @@ def _solve_family(A0, kernel_mats, size, zeros=()):
         size = len(keep)
         family = A0.reindexed(keep, size), [S.reindexed(keep, size) for S in kernel_mats]
     solve = _max_min_eig(*family, size)
+    if zeros:
+        dual = np.zeros((given, given))
+        dual[np.ix_(list(keep), list(keep))] = solve.dual
+        solve = replace(solve, dual=dual)
     if solve.t < -_INFEAS_TOL:
-        return None, solve
+        return None, None, solve
     lam = _round_lam(*family, solve.lam)
-    return (None if lam is None else _affine_point(A0, kernel_mats, lam)), solve
+    if lam is None:
+        return None, None, solve
+    gram = _affine_point(A0, kernel_mats, lam)
+    if zeros:  # lam_p + sum lam_h h over the homogeneous basis H
+        full = list(lam_p)
+        for x, h in zip(lam, H):
+            if x:
+                for i, v in enumerate(h):
+                    if v:
+                        full[i] += x * v
+        lam = full
+    return gram, lam, solve
 
 
 def _face_step(A0, kernel_mats, size, lam_floats):
@@ -855,7 +875,7 @@ def _face_step(A0, kernel_mats, size, lam_floats):
     width = reduced.shape[1]
     for flat in _rounded(reduced.ravel(), _VECTOR_BOUNDS):
         vectors = [flat[r:r + width] for r in range(0, len(flat), width)]
-        gram, _solve = _solve_family(A0, kernel_mats, size, zeros=vectors)
+        gram, _lam, _solve = _solve_family(A0, kernel_mats, size, zeros=vectors)
         if gram is not None:
             return gram
     return None
@@ -903,24 +923,19 @@ def _full_family_evidence(F, basis, classes, reason=None):
     return _numeric_evidence(solve, reason=reason)
 
 
-def sos_certify(F, basis=None):
-    """Decide SOS membership of F over the (given or default) basis.
+def sos_certify(F):
+    """Decide SOS membership of F over its default basis, whose caps are
+    half of F's total and per-variable degrees.
 
-    Returns an exact SosCertificate or numeric InfeasibilityEvidence. The
-    default basis caps are half of F's total and per-variable degrees.
+    Returns an exact SosCertificate or numeric InfeasibilityEvidence.
     """
     if not isinstance(F, Polynomial):
         raise StructuralError("sos_certify expects a Polynomial")
     if F.nvars == 0:  # constants live in a one-variable ring for basis purposes
         F = Polynomial(1, {(0,): v for _, v in F.terms()})
-    if basis is not None:
-        check_basis(basis)
-        if basis.nvars != F.nvars:
-            raise StructuralError("polynomial and basis arities differ")
     d = F.nvars
     if F.is_zero():
-        if basis is None:
-            basis = build_basis(0, (0,) * d)
+        basis = build_basis(0, (0,) * d)
         cert = _certificate_from_gram(F, basis, SymMatrix(len(basis)))
         if cert is None:
             raise InternalConsistencyError("zero Gram matrix rejected as PSD")
@@ -928,9 +943,8 @@ def sos_certify(F, basis=None):
     degree = int(F.degree())
     if degree % 2:
         return InfeasibilityEvidence(reason="odd total degree")
-    if basis is None:
-        caps = tuple(-(-int(max(F.degree_in(k + 1), 0)) // 2) for k in range(d))
-        basis = build_basis(degree // 2, caps)
+    caps = tuple(-(-int(max(F.degree_in(k + 1), 0)) // 2) for k in range(d))
+    basis = build_basis(degree // 2, caps)
     N = len(basis)
     _check_capacity(N)
 
@@ -962,7 +976,7 @@ def sos_certify(F, basis=None):
 
     gram = A0 if is_psd(A0) else None
     if gram is None:
-        gram, solve = _solve_family(A0, kernel_mats, len(monos))
+        gram, _lam, solve = _solve_family(A0, kernel_mats, len(monos))
         if solve.t < -_INFEAS_TOL:
             if len(alive) == N:
                 return _numeric_evidence(solve)

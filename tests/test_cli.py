@@ -22,19 +22,22 @@ ROBINSON = (
     "z1^6 + z2^6 + 1 - z1^4*z2^2 - z1^2*z2^4 - z1^4 - z2^4 - z1^2 - z2^2"
     " + 3*z1^2*z2^2"
 )
-# a realization whose certified Gram matrix differs from B_1 on 6 entries,
-# so it completes a nonzero defect
+# a realization whose product pencil B is PSD on neither axis, so the
+# realization adds a nonzero combination of null pencils to it
 DEFECT_P = (
     "z1^3 + 5*z1^2*z2 + 8*z1*z2^2 + 4*z2^3 + 2*z1^2 + 13/2*z1*z2"
     " + 5*z2^2 - 29/4*z1 - 8*z2 - 31/4"
 )
 DEFECT_Q = "(z1 + z2 + 1/2)*(z1 + 2*z2 + 3)"
 POLE = "z1 + z2 + 2*z3 + 1"
+# f = -1/z1 - 1/(z1+1) - 1/(z1+2)
+THREE_POLES = ("-((z1+1)*(z1+2) + z1*(z1+2) + z1*(z1+1))", "z1*(z1+1)*(z1+2)", "1")
 # documents that must not depend on the hash seed, with their exit codes:
 # the sign-symmetric refutation and the minimized Artin certificate of
 # Robinson's form, a refutation solved by eigendecomposition, face-step,
-# vertex-hunt and no-direction certificates, a defect-completing
-# realization with its Wronskian and product pencil, a kernel basis, a
+# vertex-hunt and no-direction certificates, realizations searched over
+# null pencils, taken as the product pencil and PSD on axis 1 alone, the
+# first with its Wronskian and product pencil, a kernel basis, a
 # mixed-denominator product pencil, Herglotz scans and crosschecks in three
 # variables, a DISAGREE crosscheck and an Artin search that finds nothing
 CI_LOOP = [
@@ -46,6 +49,8 @@ CI_LOOP = [
     (("sos", "(-4/3*z1^2 + 4*z1*z2 - 9/2*z2)^2 + (-5*z1*z2 + 7/2)^2"), 0),
     (("sos", "196/9*z1^4 + z1^2*z2^2 + 140/3*z1^2*z2 + 10*z1*z2 + 25*z2^2 + 25"), 0),
     (("realize", DEFECT_P, DEFECT_Q, "1"), 0),
+    (("realize", *THREE_POLES), 0),
+    (("realize", "z1 - z2", "1", "1"), 0),
     (("kernel-basis", "--n", "3", "--caps", "2,2,1"), 0),
     (("wronskian", DEFECT_Q, DEFECT_P, "1"), 0),
     (("polarize", DEFECT_Q, DEFECT_P), 0),
@@ -344,8 +349,7 @@ class TestRealize:
         assert doc["evidence"]["reason"]
 
     def test_completed_defect_exit_zero(self, capsys):
-        # the certified Gram matrix differs from B_1 on 6 entries, so the
-        # realization completes a nonzero defect
+        # B is PSD on neither axis, so the realization adds null pencils
         code, doc = run_json(
             capsys,
             "realize",
@@ -358,24 +362,24 @@ class TestRealize:
         assert doc["command"] == "realize"
         assert doc["status"] == "realization"
         assert len(doc["realization"]["pencil"]["matrices"]) == 3
+        assert doc["realization"]["psd_axes"] == [1, 2]
 
-    def test_three_pole_defect_is_not_completable(self, capsys):
-        # f = -1/z1 - 1/(z1+1) - 1/(z1+2): W_1 certifies, but its axis-1
-        # defect has weight outside the axis-avoiding forest. This pins the
-        # failure until the realization is certified over the completable
-        # Gram family (ROADMAP item 1), which replaces this test.
-        code, out, err = run(
-            capsys,
-            "realize",
-            "-((z1+1)*(z1+2) + z1*(z1+2) + z1*(z1+1))",
-            "z1*(z1+1)*(z1+2)",
-            "1",
-        )
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["type"] == "InternalConsistencyError"
-        assert "weight outside the kernel span at product (2,)" in error["message"]
+    def test_capacity_exit_two(self, capsys):
+        # B is PSD on no axis and its basis has N = 126 monomials, above
+        # GRAM_CAPACITY, so the null pencils are refused
+        code, out, err = run(capsys, "realize", "z1^5 + z2^5 + z3^5 + z4^5", "1", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "message": "Gram basis has 126 monomials, capacity 120",
+            "type": "CapacityError",
+        }
+
+    def test_three_pole_realizes_on_every_axis(self, capsys):
+        # f = -1/z1 - 1/(z1+1) - 1/(z1+2): its product pencil is PSD
+        code, doc = run_json(capsys, "realize", *THREE_POLES)
+        assert code == 0
+        assert doc["status"] == "realization"
+        assert doc["realization"]["psd_axes"] == [1]
 
 
 class TestHerglotzScan:

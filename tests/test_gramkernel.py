@@ -11,7 +11,6 @@ from sospencil.errors import CapacityError, PreconditionError, StructuralError
 from sospencil.exactlinalg import SymMatrix, sparse_rank
 from sospencil.gramkernel import (
     _pair_classes,
-    _spanning_elements,
     defect_completion,
     elementary_transform,
     kernel_basis,
@@ -161,29 +160,30 @@ def unit_shift(exps, inc, dec):
     )
 
 
-def assert_corners(element, basis, avoid_axis=None):
-    """The element is the edge its corners and move say it is."""
-    u, p, v, c = element.corners
+def assert_corners(element, basis):
+    """The element is the edge its matrix and move say it is: the matrix is
+    w E_up - E_vc, and the move (r, l) sends u to v and p to c."""
+    (plus, w), (minus, one) = list(element.matrix.entries())
+    assert one == -1
     r, l = element.move
     hom = [m + (basis.total_cap - sum(m),) for m in basis.monomials]
-    assert hom[v] == unit_shift(hom[u], r, l)
-    assert hom[c] == unit_shift(hom[p], l, r)
+    index = {h: i for i, h in enumerate(hom)}
+    u, p = next(
+        (u, p)
+        for u, p in (plus, plus[::-1])
+        if {index.get(unit_shift(hom[u], r, l)), index.get(unit_shift(hom[p], l, r))}
+        == set(minus)
+    )
     assert element.beta == tuple(
         a + b for a, b in zip(basis.monomials[u], basis.monomials[p])
     )
     triple = u == p
+    assert w == (2 if triple else 1)
     assert element.kind == ("triple" if triple else "quad")
-    assert element.support == tuple(sorted({u, p, v, c}))
+    assert element.support == tuple(sorted({*plus, *minus}))
     assert len(element.support) == (3 if triple else 4)
-    # w E_up - E_vc, the plus pair first
-    assert list(element.matrix.entries()) == [
-        ((min(u, p), max(u, p)), Fraction(2 if triple else 1)),
-        ((min(v, c), max(v, c)), Fraction(-1)),
-    ]
     if triple:
         assert r < l
-    if avoid_axis is not None:
-        assert avoid_axis not in (r, l)
 
 
 class TestCorners:
@@ -193,26 +193,16 @@ class TestCorners:
             for el in kernel_basis(basis):
                 assert_corners(el, basis)
 
-    def test_avoid_axis_corners(self):
-        for total, caps in CENSUS:
-            basis = build_basis(total, caps)
-            for axis in range(1, len(caps) + 2):
-                for el in _spanning_elements(basis, avoid_axis=axis):
-                    assert_corners(el, basis, avoid_axis=axis)
-
     def test_reference_corners(self):
         # 1, z1, z1^2: the squared z1 comes first, and the move raises the
         # lower-numbered variable z1 at the auxiliary variable's expense
         (el,) = kernel_basis(build_basis(2, (2,)))
-        assert el.corners == (1, 1, 2, 0)
+        assert list(el.matrix.entries()) == [((1, 1), 2), ((0, 2), -1)]
         assert el.move == (1, 2)
         # the multiaffine basis 1, z1, z2, z1*z2 has one relation: 1 * z1z2 = z1 * z2
         (el,) = kernel_basis(build_basis(2, (1, 1)))
         assert el.kind == "quad"
-        assert {frozenset(el.corners[:2]), frozenset(el.corners[2:])} == {
-            frozenset((0, 3)),
-            frozenset((1, 2)),
-        }
+        assert {key for key, _ in el.matrix.entries()} == {(0, 3), (1, 2)}
 
 
 class TestDefectCompletion:
@@ -331,7 +321,7 @@ class TestDefectCompletion:
         basis = build_basis(2, (2, 2))
         S = SymMatrix(len(basis.monomials))
         S.set(0, 0, Fraction(1))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="gram annihilation hypothesis fails"):
             defect_completion(S, basis, 2)
 
     def test_top_axis_rows_must_vanish(self):
@@ -341,5 +331,5 @@ class TestDefectCompletion:
         # annihilating, but touches the top z2-degree row of z2^2
         S.set(mon[(2, 0)], mon[(0, 2)], Fraction(-1))
         S.set(mon[(1, 1)], mon[(1, 1)], Fraction(2))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="derivative annihilation hypothesis fails"):
             defect_completion(S, basis, 2)

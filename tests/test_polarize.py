@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 import _fraction_reference as reference
 from _helpers import random_nonzero_polynomial, random_polynomial
 from sospencil.errors import PreconditionError, StructuralError
-from sospencil.exactlinalg import SymMatrix, is_psd, psd_factor, rref, solve_sparse
+from sospencil.exactlinalg import SymMatrix, is_psd, psd_factor, rref, solve_sparse, sparse_rank
 from sospencil.parsing import parse_polynomial
 from sospencil.polarize import (
     SymmetricPencil,
     _pair_pencil_entries,
     chain_pencil,
     cross_product_polynomial,
+    null_pencils,
     pair_pencil,
     pencil_row_action,
     product_polarization,
@@ -207,8 +208,8 @@ class TestProductPolarization:
 
     def test_axis_matrices_vanish_on_cap_rows(self):
         # A_k is zero on every row whose monomial attains the basis's z_k
-        # cap, so a realization's defect gram - B_1 meets the top-row
-        # hypothesis of defect_completion exactly when the gram does
+        # cap: z_k A_k would otherwise give (A_0 + sum z_j A_j) Psi^T, whose
+        # rows are multiples of p, a z_k-degree above that cap
         rng = random.Random(8191)
         for _ in range(100):
             d = rng.randint(1, 3)
@@ -378,6 +379,54 @@ class TestSymmetricPencil:
             assert single + single == double
 
 
+class TestNullPencils:
+    @staticmethod
+    def nullity(basis):
+        """Unknowns minus the rank of the map from a pencil's entries to its
+        row action, each unknown's image taken from pencil_row_action of the
+        pencil with that one entry."""
+        N, d = len(basis), basis.nvars
+        keys, images = {}, []
+        for k in range(d + 1):
+            for i in range(N):
+                for j in range(i, N):
+                    matrices = [SymMatrix(N) for _ in range(d + 1)]
+                    matrices[k].set(i, j, 1)
+                    rows = pencil_row_action(matrices, basis)
+                    images.append({
+                        keys.setdefault((r, exps), len(keys)): value
+                        for r, row in enumerate(rows)
+                        for exps, value in row.terms()
+                    })
+        return len(images) - sparse_rank(images)
+
+    @pytest.mark.parametrize(
+        "total, caps, count",
+        [
+            (1, (1,), 0),
+            (3, (3,), 0),
+            (5, (5,), 0),
+            (3, (3, 3), 15),
+            (4, (4, 4), 45),
+            (2, (2, 2, 2), 20),
+            (3, (3, 3, 3), 140),
+        ],
+    )
+    def test_a_basis_of_the_null_pencils(self, total, caps, count):
+        basis = build_basis(total, caps)
+        pencils = null_pencils(basis)
+        assert len(pencils) == count == self.nullity(basis)
+        for K in pencils:
+            assert K.basis == basis
+            assert all(row.is_zero() for row in pencil_row_action(K.matrices, basis))
+        vectors = [
+            {(k, i, j): v for k, m in enumerate(K.matrices) for (i, j), v in m.entries()}
+            for K in pencils
+        ]
+        columns = {key: n for n, key in enumerate({key for v in vectors for key in v})}
+        assert sparse_rank([{columns[key]: x for key, x in v.items()} for v in vectors]) == count
+
+
 @pytest.mark.parametrize(
     "basis", [list(build_basis(1, (1, 1)).monomials), "abc"], ids=["list", "str"]
 )
@@ -399,3 +448,7 @@ class TestBasisArgument:
     def test_pair_pencil(self, basis):
         with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
             pair_pencil((1, 0), (0, 1), basis)
+
+    def test_null_pencils(self, basis):
+        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
+            null_pencils(basis)

@@ -16,6 +16,8 @@ from sospencil.exactlinalg import is_psd
 from sospencil.parsing import parse_polynomial
 from sospencil.polarize import (
     SymmetricPencil,
+    null_pencils,
+    pencil_row_action,
     product_polarization,
     quadratic_form_polynomial,
 )
@@ -25,7 +27,7 @@ from sospencil.realize import (
     verify_realization,
     wronskian_realization,
 )
-from sospencil.soscert import InfeasibilityEvidence, SosCertificate, sos_certify
+from sospencil.soscert import InfeasibilityEvidence
 
 
 def poly(text, nvars=None):
@@ -36,7 +38,9 @@ def assert_valid(realization):
     ok, report = verify_realization(realization)
     assert ok, report
     assert all(report.values())
-    assert is_psd(realization.pencil.matrices[1])
+    assert 1 in realization.psd_axes
+    for k in realization.psd_axes:
+        assert is_psd(realization.pencil.matrices[k])
 
 
 class TestConstruction:
@@ -60,9 +64,14 @@ class TestConstruction:
         f2 = quadratic_form_polynomial(r.pencil.matrices[2], basis)
         assert f1 == poly("z2^2")
         assert f2 == poly("z1^2", 2)
-        # the theorem only promises PSD on axis 1, but this pencil is
-        # symmetric in the variables and both diagonal forms are squares
-        assert is_psd(r.pencil.matrices[2])
+        assert r.psd_axes == (1, 2)
+
+    @pytest.mark.parametrize("p, q", [("z1 - z2", "1"), ("-1", "z1 - z2")])
+    def test_slice_only_function_is_psd_on_axis_one(self, p, q):
+        # W_2 = -W_1 is not SOS, so no realization is PSD on axis 2
+        r = wronskian_realization(poly(p, 2), poly(q, 2), poly("1", 2))
+        assert_valid(r)
+        assert r.psd_axes == (1,)
 
     def test_zero_numerator_gives_zero_pencil(self):
         r = wronskian_realization(poly("0", 1), poly("1", 1), poly("1", 1))
@@ -98,8 +107,7 @@ class TestConstruction:
         assert form == s_squared_wronskian(p, q, poly("1", 1))
 
 
-# a two-variable function whose certified Gram matrix differs from the
-# product pencil's B_1, so its realization completes a nonzero defect
+# a two-variable function whose product pencil B is PSD on neither axis
 COMPLETED_DEFECT = (
     "z1^3 + 5*z1^2*z2 + 8*z1*z2^2 + 4*z2^3 + 2*z1^2 + 13/2*z1*z2 + 5*z2^2"
     " - 29/4*z1 - 8*z2 - 31/4",
@@ -113,12 +121,14 @@ class TestCompletedDefect:
         s = poly("1", 2)
         r = wronskian_realization(p, q, s)
         assert_valid(r)
+        assert r.psd_axes == (1, 2)
         B = product_polarization(q * s, p * s)
-        defect = r.certificate.gram - B.matrices[1]
-        assert len([v for _, v in defect.entries() if v]) == 6
+        assert not is_psd(B.matrices[1]) and not is_psd(B.matrices[2])
+        # the realization is B plus a null pencil that touches every matrix
+        K = [a - b for a, b in zip(r.pencil.matrices, B.matrices)]
+        assert all(not m.is_zero() for m in K)
+        assert all(row.is_zero() for row in pencil_row_action(K, B.basis))
         assert r.pencil.matrices[1] == r.certificate.gram
-        assert r.pencil.matrices[0] != B.matrices[0]
-        assert r.pencil.matrices[2] != B.matrices[2]
 
 
 def herglotz_pair(rng, d, npoles):
@@ -151,32 +161,51 @@ def herglotz_pair(rng, d, npoles):
     return p, q
 
 
-class TestCertificateAvoidsTopRows:
-    def test_gram_is_zero_on_z1_cap_rows(self):
-        # s^2 W_1 has z1-degree below twice the basis's z1 cap, so no PSD
-        # Gram matrix over the pencil basis can weigh a row at that cap;
-        # this is why the realization needs no top-row repair
+class TestHerglotzPairs:
+    def test_every_axis_is_psd(self):
+        # at d = 1 the product pencil is the only realization, and it is
+        # PSD; at d = 3 the search imposes rows pinned to zero
         rng = random.Random(1307)
-        certified = 0
-        for d, npoles in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)):
-            for _ in range(4):
+        for d, npoles in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2)):
+            helpers = [Polynomial.constant(1, d)]
+            if d < 3:  # z1 + 1/2
+                helpers.append(Polynomial(d, {(1,) + (0,) * (d - 1): 1, (0,) * d: Fraction(1, 2)}))
+            for _ in range(3):
                 p, q = herglotz_pair(rng, d, npoles)
-                z1_plus_half = Polynomial(
-                    d, {(1,) + (0,) * (d - 1): Fraction(1), (0,) * d: Fraction(1, 2)}
-                )
-                for s in (Polynomial.constant(1, d), z1_plus_half):
-                    basis = product_polarization(q * s, p * s).basis
-                    outcome = sos_certify(s * s * wronskian(q, p, 1), basis=basis)
-                    if not isinstance(outcome, SosCertificate):
-                        continue
-                    certified += 1
-                    cap = max(m[0] for m in basis.monomials)
-                    top = {i for i, m in enumerate(basis.monomials) if m[0] == cap}
-                    assert not any(
-                        value and (i in top or j in top)
-                        for (i, j), value in outcome.gram.entries()
-                    ), (p, q, s)
-        assert certified >= 40
+                for s in helpers:
+                    r = wronskian_realization(p, q, s)
+                    assert_valid(r)
+                    assert r.psd_axes == tuple(range(1, d + 1)), (p, q, s)
+
+    def test_pinned_rows_are_imposed(self):
+        # this pair realizes only with the rows that zero diagonal entries
+        # pin imposed as exact zeros; without them no rounding is PSD
+        p, q = herglotz_pair(random.Random(3), 2, 3)
+        r = wronskian_realization(p, q, Polynomial.constant(1, 2))
+        assert_valid(r)
+        assert r.psd_axes == (1, 2)
+
+    def test_flipped_pair_is_refused(self):
+        # -f has W_1[q, -p] = -W_1[q, p], which is not SOS. The axis-1
+        # search drops the pinned rows; its dual comes back indexed by the
+        # basis, zero on those rows
+        rng = random.Random(5)
+        for d, npoles in ((1, 2), (2, 2), (2, 3)):
+            p, q = herglotz_pair(rng, d, npoles)
+            with pytest.raises(NoCertificateError) as info:
+                wronskian_realization(-p, q, Polynomial.constant(1, d))
+            evidence = info.value.evidence
+            assert isinstance(evidence, InfeasibilityEvidence)
+            assert evidence.reason
+            B = product_polarization(q, -p)
+            N = len(B.basis)
+            axis1 = [B.matrices[1], *(K.matrices[1] for K in null_pencils(B.basis))]
+            pinned = [r for r in range(N) if all(S.get(r, r) == 0 for S in axis1)]
+            dual = evidence.dual_matrix
+            assert pinned and dual is not None
+            assert len(dual) == N and all(len(row) == N for row in dual)
+            assert all(dual[r][c] == dual[c][r] == 0 for r in pinned for c in range(N))
+            assert abs(sum(dual[r][r] for r in range(N)) - 1) < 1e-9
 
 
 def s_squared_wronskian(p, q, s):
@@ -205,6 +234,7 @@ class TestRejected:
         with pytest.raises(NoCertificateError) as info:
             wronskian_realization(poly("z1^2"), poly("1", 1), poly("1", 1))
         assert isinstance(info.value.evidence, InfeasibilityEvidence)
+        assert info.value.evidence.reason
 
 
 class TestVerification:
@@ -221,6 +251,7 @@ class TestVerification:
             q=r.q,
             s=r.s,
             certificate=r.certificate,
+            psd_axes=r.psd_axes,
         )
         ok, report = verify_realization(broken)
         assert not ok
@@ -238,6 +269,7 @@ class TestVerification:
             q=r.q,
             s=r.s,
             certificate=r.certificate,
+            psd_axes=r.psd_axes,
         )
         ok, report = verify_realization(broken)
         assert not ok
@@ -255,6 +287,7 @@ class TestVerification:
             q=r.q,
             s=r.s,
             certificate=r.certificate,
+            psd_axes=r.psd_axes,
         )
         ok, report = verify_realization(broken)
         assert not ok
@@ -264,6 +297,7 @@ class TestVerification:
             "wronskian_diagonal_2": False,
             "certificate_squares": True,
             "axis1_psd": True,
+            "axis2_psd": False,
         }
 
     def test_report_keys(self):
@@ -276,6 +310,7 @@ class TestVerification:
             "wronskian_diagonal_2",
             "certificate_squares",
             "axis1_psd",
+            "axis2_psd",
         }
         assert set(report) == expected
 

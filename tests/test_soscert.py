@@ -113,13 +113,6 @@ class TestCertifySuccess:
         assert isinstance(cert, SosCertificate)
         assert cert.squares == ()
 
-    def test_explicit_basis_is_respected(self):
-        F = poly("z1^2")
-        basis = build_basis(2, (2,))
-        cert = sos_certify(F, basis=basis)
-        assert cert.basis.monomials == basis.monomials
-        assert_certifies(F, cert)
-
     def test_boundary_gram_with_forced_zero_diagonal(self):
         # x^2y^2(x^2+y^2-ish) style boundary case: every Gram is singular
         F = poly("z1^4*z2^2 + z1^2*z2^4")
@@ -180,19 +173,8 @@ class TestStageOrder:
 
 
 class TestBasisArgument:
-    """An explicit basis must be a MonomialBasis of F's arity."""
-
-    @pytest.mark.parametrize(
-        "F, basis, message",
-        [
-            (poly("z1^2 + z2^2"), build_basis(1, (1, 1, 1)), "arities differ"),
-            (Polynomial.zero(2), build_basis(1, (1, 1, 1)), "arities differ"),
-            (poly("z1^2 + z2^2"), list(build_basis(1, (1, 1)).monomials), "MonomialBasis"),
-        ],
-    )
-    def test_rejected(self, F, basis, message):
-        with pytest.raises(StructuralError, match=message):
-            sos_certify(F, basis=basis)
+    """initial_gram takes only a MonomialBasis; a constant gets the basis of
+    a one-variable ring."""
 
     @pytest.mark.parametrize(
         "basis", [list(build_basis(1, (1, 1)).monomials), "abc"], ids=["list", "str"]
@@ -202,9 +184,9 @@ class TestBasisArgument:
             initial_gram(poly("z1^2 + z2^2"), basis)
 
     def test_constant_over_one_variable(self):
-        # a constant is lifted into a one-variable ring before the check
+        # a constant is lifted into a one-variable ring before its basis is built
         F = Polynomial(0, {(): Fraction(4)})
-        cert = sos_certify(F, basis=build_basis(1, (1,)))
+        cert = sos_certify(F)
         assert_certifies(F, cert)
 
 
@@ -354,9 +336,9 @@ class TestSolveFamily:
         solve_family, rounded = soscert._solve_family, soscert._rounded
 
         def solve_spy(A0, kernel_mats, size, zeros=()):
-            gram, solve = solve_family(A0, kernel_mats, size, zeros)
+            gram, lam, solve = solve_family(A0, kernel_mats, size, zeros)
             calls.append((sys._getframe(1).f_code.co_name, zeros, gram))
-            return gram, solve
+            return gram, lam, solve
 
         def rounded_spy(values, bounds):
             for flat in rounded(values, bounds):
@@ -387,9 +369,11 @@ class TestSolveFamily:
         rng = random.Random(seed)
         n = rng.randint(4, 7)
         A0, mats, zeros = family_with_face(rng, n, rng.randint(n, 2 * n), rng.randint(1, 2))
-        gram, solve = soscert._solve_family(A0, mats, n, zeros=zeros)
+        gram, lam, solve = soscert._solve_family(A0, mats, n, zeros=zeros)
         assert solve.t >= 0 and gram is not None and is_psd(gram)
         assert all(annihilates(gram, v) for v in zeros)
+        # lam indexes the given directions, not the restricted ones
+        assert gram == soscert._affine_point(A0, mats, lam)
         # gram is a member of the family: gram - A0 is in the span of mats
         keys = sorted({key for S in [A0, gram, *mats] for key, _ in S.entries()})
         rows = [{k: S.get(*key) for k, S in enumerate(mats) if S.get(*key)} for key in keys]
@@ -408,22 +392,23 @@ class TestSolveFamily:
         # A(lam) (1, 0) = (1, lam_0) is never zero
         A0 = SymMatrix(2, {(0, 0): Fraction(1), (1, 1): Fraction(1)})
         zeros = [[Fraction(1), Fraction(0)]]
-        assert soscert._solve_family(A0, mats, 2, zeros=zeros) == (None, None)
+        assert soscert._solve_family(A0, mats, 2, zeros=zeros) == (None, None, None)
 
     @pytest.mark.parametrize("F", sign_symmetric_inputs())
     def test_without_zeros_is_solve_round_lift(self, F):
         A0, mats, n = TestSignSymmetry.family(
             F, lambda monos: soscert._symmetric_classes(F, monos)
         )
-        gram, solve = soscert._solve_family(A0, mats, n)
+        gram, lam, solve = soscert._solve_family(A0, mats, n)
         expected = soscert._max_min_eig(A0, mats, n)
         assert (solve.lam, solve.t, solve.margin) == (expected.lam, expected.t, expected.margin)
         assert np.array_equal(solve.dual, expected.dual)
         if expected.t < -soscert._INFEAS_TOL:
-            assert gram is None
+            assert (gram, lam) == (None, None)
             return
-        lam = soscert._round_lam(A0, mats, expected.lam)
-        assert gram == (None if lam is None else soscert._affine_point(A0, mats, lam))
+        rounded = soscert._round_lam(A0, mats, expected.lam)
+        assert lam == rounded
+        assert gram == (None if rounded is None else soscert._affine_point(A0, mats, rounded))
 
 
 class TestCertifyFailure:
@@ -491,7 +476,8 @@ class TestCertifyFailure:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            sos_certify(poly("z1^2", 3), basis=build_basis(8, (8, 8, 8)))
+            # the default basis of degree-4 monomials in 5 variables has 126
+            sos_certify(poly("z1^8 + z2^8 + z3^8 + z4^8 + z5^8"))
 
 
 class TestInteriorPoint:
