@@ -48,13 +48,11 @@ from .polycore import (
 )
 from .realize import Realization, verify_realization, wronskian_realization
 from .soscert import (
-    GramForm,
     InfeasibilityEvidence,
     SosCertificate,
     artin_certify,
     artin_minimize,
     default_artin_candidates,
-    initial_gram,
     sos_certify,
 )
 
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "CrosscheckReport",
-    "GramForm",
     "InconclusiveScanError",
     "InfeasibilityEvidence",
     "InternalConsistencyError",
@@ -91,7 +88,6 @@ __all__ = [
     "default_artin_candidates",
     "defect_completion",
     "holomorphy_sample_check",
-    "initial_gram",
     "is_psd",
     "kernel_basis",
     "kernel_dimension_oracle",

@@ -204,9 +204,8 @@ def _cmd_herglotz_scan(args):
 
 
 def _cmd_crosscheck(args):
-    polys, nvars = _parse_all([args.p, args.q] + (args.candidates or []))
-    p, q, candidates = polys[0], polys[1], polys[2:] or None
-    report = crosscheck_slice_criterion(p, q, candidates, *_scan_grids(args))
+    (p, q), nvars = _parse_all([args.p, args.q])
+    report = crosscheck_slice_criterion(p, q, *_scan_grids(args))
     _emit({"report": serialize.crosscheck_json(report)}, args)
     return 0 if report.verdict.startswith("AGREE") else 1
 
@@ -295,11 +294,6 @@ def build_parser():
     )
     sub.add_argument("p")
     sub.add_argument("q")
-    sub.add_argument(
-        "--candidates",
-        action="append",
-        help="Artin candidate for diagnostics (repeat the flag for more)",
-    )
     _add_grid_options(sub)
     _add_output(sub)
     sub.set_defaults(func=_cmd_crosscheck)

@@ -7,7 +7,7 @@ scanner samples Im f on finite grids; it can refute the criterion with a
 witness but can only report "pass" up to grid resolution. The crosscheck
 pairs this scan with the exact SOS decision on the axis-1 Wronskian and
 reports whether the two sides agree; it checks the scan grids before any
-other work.
+other work. A DISAGREE is flagged for review with both sides attached.
 
 Everything here is floating point by design, and every grid value must
 be finite. Skipped points (denominator too small) are counted, never
@@ -37,12 +37,7 @@ from .errors import (
     StructuralError,
 )
 from .polycore import Polynomial, RationalFunction, wronskian
-from .soscert import (
-    InfeasibilityEvidence,
-    SosCertificate,
-    artin_certify,
-    sos_certify,
-)
+from .soscert import InfeasibilityEvidence, SosCertificate, sos_certify
 
 SCAN_TOLERANCE = 1e-9
 DENOMINATOR_THRESHOLD = 1e-12
@@ -302,23 +297,15 @@ class CrosscheckReport:
     certificate: object
     evidence: object
     scan: ScanReport
-    artin_result: object
-    artin_attempted: bool
 
 
-def crosscheck_slice_criterion(
-    p,
-    q,
-    candidates=None,
-    real_grid=None,
-    halfplane_grid=None,
-):
+def crosscheck_slice_criterion(p, q, real_grid=None, halfplane_grid=None):
     """Exact SOS decision vs numeric slice scan for f = p/q.
 
     Verdicts: AGREE_SOS_HERGLOTZ, AGREE_NONSOS_NONHERGLOTZ, or DISAGREE.
     A DISAGREE is flagged for manual review (grid artifact or numeric
-    failure), never auto-resolved; an Artin certification attempt on the
-    Wronskian is attached to it as extra diagnostic context.
+    failure), never auto-resolved; the report carries both sides, the
+    Wronskian's SOS outcome and the scan.
     """
     for name, poly in (("p", p), ("q", q)):
         if not isinstance(poly, Polynomial):
@@ -347,18 +334,10 @@ def crosscheck_slice_criterion(
     else:
         verdict = "DISAGREE"
 
-    artin_result = None
-    artin_attempted = False
-    if verdict == "DISAGREE":
-        artin_attempted = True
-        artin_result = artin_certify(W, candidates)
-
     return CrosscheckReport(
         verdict=verdict,
         wronskian=W,
         certificate=certificate,
         evidence=evidence,
         scan=scan,
-        artin_result=artin_result,
-        artin_attempted=artin_attempted,
     )

@@ -7,7 +7,8 @@ complex numbers as [re, im] pairs, polynomials as grammar text.
 
 Each outcome block has one builder, sos_outcome_json for an SOS outcome and
 artin_json for an Artin search; the `sos` and `artin` commands build their
-documents on them, and crosscheck_json reuses both for its report.
+documents on them, and crosscheck_json reuses sos_outcome_json for its
+report.
 """
 
 from __future__ import annotations
@@ -146,16 +147,12 @@ def scan_report_json(report):
 
 def crosscheck_json(report):
     outcome = report.certificate if report.certificate is not None else report.evidence
-    doc = {
+    return {
         "verdict": report.verdict,
         "wronskian": polynomial_json(report.wronskian),
         "sos": sos_outcome_json(report.wronskian, outcome),
         "scan": scan_report_json(report.scan),
-        "artin_attempted": report.artin_attempted,
     }
-    if report.artin_attempted:
-        doc["artin"] = artin_json(report.artin_result)
-    return doc
 
 
 def realization_json(realization):

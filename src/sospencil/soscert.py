@@ -72,9 +72,9 @@ from .exactlinalg import (
     rref,
     solve_sparse,
 )
-from .gramkernel import _pair_classes, kernel_basis
+from .gramkernel import _pair_classes
 from .polarize import GRAM_CAPACITY, _check_capacity, quadratic_form_polynomial
-from .polycore import MonomialBasis, Polynomial, basis_key, build_basis, check_basis
+from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
 
 ARTIN_MAX_POWER = 3
 
@@ -91,15 +91,6 @@ _SCHUR_BLOCK = 1 << 20  # entries of the products X F_l Zi held at once
 _HUNT_SLACK = 1e-6
 _ROUND_BOUNDS = (10, 100, 10**4, 10**6)
 _VECTOR_BOUNDS = (10, 100, 10**4)
-
-
-@dataclass(frozen=True)
-class GramForm:
-    """The affine family of all Gram matrices of one polynomial."""
-
-    basis: MonomialBasis
-    A0: SymMatrix
-    kernel: tuple
 
 
 @dataclass(frozen=True)
@@ -133,21 +124,6 @@ class InfeasibilityEvidence:
     margin: float | None = None
     residuals: dict | None = None
     reason: str | None = None
-
-
-def initial_gram(F, basis):
-    """Canonical particular Gram matrix of F over the basis.
-
-    Coefficient c of a monomial goes entirely to a squared pair when one
-    exists, otherwise it is split equally over all off-diagonal pairs.
-    """
-    check_basis(basis)
-    if not isinstance(F, Polynomial) or F.nvars != basis.nvars:
-        raise StructuralError("polynomial and basis arities differ")
-    A0 = _full_gram(F, basis, _pair_classes(basis.monomials))
-    if quadratic_form_polynomial(A0, basis) != F:
-        raise InternalConsistencyError("initial Gram matrix does not represent F")
-    return GramForm(basis, A0, tuple(kernel_basis(basis)))
 
 
 def _diagonal_reduction(F, monos, classes):

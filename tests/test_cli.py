@@ -39,7 +39,8 @@ THREE_POLES = ("-((z1+1)*(z1+2) + z1*(z1+2) + z1*(z1+1))", "z1*(z1+1)*(z1+2)", "
 # null pencils, taken as the product pencil and PSD on axis 1 alone, the
 # first with its Wronskian and product pencil, a kernel basis, a
 # mixed-denominator product pencil, Herglotz scans and crosschecks in three
-# variables, a DISAGREE crosscheck and an Artin search that finds nothing
+# variables, a DISAGREE crosscheck (the SOS Wronskian of z1^3 against its
+# failing scan) and an Artin search that finds nothing
 CI_LOOP = [
     (("sos", ROBINSON), 1),
     (("sos", "2*z2 - z1^2"), 1),
@@ -247,10 +248,10 @@ class TestGoldenDocuments:
     basis lists triple and quad elements, and the realization completes a
     nonzero defect. The outcome blocks of serialize are pinned by three
     more: the crosscheck of z1^3 (crosscheck_disagree_z1cubed.json), a
-    DISAGREE whose report carries an SOS and an Artin certificate; the Artin
-    search on z1^2 - 1 (artin_no_certificate.json), which finds none; and
-    the minimized Artin certificate of Robinson's form
-    (artin_minimize_robinson.json)."""
+    DISAGREE whose report carries the SOS certificate of its Wronskian and
+    the failing scan; the Artin search on z1^2 - 1
+    (artin_no_certificate.json), which finds none; and the minimized Artin
+    certificate of Robinson's form (artin_minimize_robinson.json)."""
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -463,7 +464,7 @@ class TestCrosscheck:
         assert code == 0
         assert doc["report"]["verdict"] == "AGREE_NONSOS_NONHERGLOTZ"
 
-    def test_disagreement_attaches_artin(self, capsys):
+    def test_disagreement_exit_one(self, capsys):
         code, doc = run_json(
             capsys,
             "crosscheck",
@@ -476,7 +477,14 @@ class TestCrosscheck:
         )
         assert code == 1
         assert doc["report"]["verdict"] == "DISAGREE"
-        assert doc["report"]["artin"]["status"] == "no_certificate_in_family"
+        assert set(doc["report"]) == {"verdict", "wronskian", "sos", "scan"}
+
+    def test_candidates_is_no_option(self, capsys):
+        # Artin candidates belong to the artin command alone
+        with pytest.raises(SystemExit) as info:
+            main(["crosscheck", "-1", "z1", "--candidates", "z1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --candidates z1" in capsys.readouterr().err
 
 
 class TestPlumbing:
@@ -512,7 +520,6 @@ class TestPlumbing:
                 "crosscheck",
                 ("-(z1+z2)", "z1*z2"),
                 (
-                    ("--candidates", "z1^2 + z2^2"),
                     ("--xhat-values", "1"),
                     ("--z1-real", "-1,1"),
                     ("--z1-imag", "0.5"),

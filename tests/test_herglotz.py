@@ -1,5 +1,6 @@
 """Slice-criterion scanning and the exact-vs-numeric crosscheck."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sospencil import herglotz
+from sospencil import herglotz, soscert
 from sospencil.errors import (
     InconclusiveScanError,
     PreconditionError,
@@ -461,7 +462,6 @@ class TestCrosscheck:
         assert isinstance(report.certificate, SosCertificate)
         assert report.evidence is None
         assert report.scan.verdict == "pass"
-        assert not report.artin_attempted
 
     def test_agree_positive_two_variables(self):
         report = crosscheck_slice_criterion(poly("-(z1 + z2)"), poly("z1*z2"))
@@ -473,25 +473,51 @@ class TestCrosscheck:
         assert report.certificate is None
         assert isinstance(report.evidence, InfeasibilityEvidence)
         assert report.scan.verdict == "fail"
-        assert not report.artin_attempted
 
     def test_agree_negative_two_variables(self):
         report = crosscheck_slice_criterion(poly("z1*z2"), poly("1", 2))
         assert report.verdict == "AGREE_NONSOS_NONHERGLOTZ"
 
-    def test_disagreement_attaches_artin_attempt(self):
+    def test_disagreement_reports_both_sides(self):
         # a coarse custom grid misses the slice failure of f = z1^2, while
-        # the exact side correctly rejects the odd Wronskian: DISAGREE
+        # the exact side correctly rejects the odd Wronskian: DISAGREE, and
+        # the report holds the two sides and nothing else
         report = crosscheck_slice_criterion(
             poly("z1^2"),
             poly("1", 1),
             halfplane_grid=[1 + 0.5j, 2 + 1j],
         )
         assert report.verdict == "DISAGREE"
-        assert report.artin_attempted
-        assert report.artin_result is None
-        assert report.scan.verdict == "pass"
+        assert report.wronskian == poly("2*z1")
         assert report.certificate is None
+        assert report.evidence.reason == "odd total degree"
+        assert report.scan.verdict == "pass"
+        assert [field.name for field in dataclasses.fields(report)] == [
+            "verdict",
+            "wronskian",
+            "certificate",
+            "evidence",
+            "scan",
+        ]
+
+    @pytest.mark.parametrize(
+        "p, q, verdict",
+        [("z1^3", "1", "DISAGREE"), ("-1", "z1", "AGREE_SOS_HERGLOTZ")],
+    )
+    def test_one_sos_decision_whatever_the_verdict(self, monkeypatch, p, q, verdict):
+        # z1^3 has the SOS Wronskian 3*z1^2 but fails the scan
+        calls = []
+        certify = soscert.sos_certify
+
+        def counted(F):
+            calls.append(F)
+            return certify(F)
+
+        monkeypatch.setattr(soscert, "sos_certify", counted)
+        monkeypatch.setattr(herglotz, "sos_certify", counted)
+        report = crosscheck_slice_criterion(poly(p, 1), poly(q, 1))
+        assert report.verdict == verdict
+        assert calls == [report.wronskian]
 
     def test_holomorphy_gate(self):
         with pytest.raises(PreconditionError):

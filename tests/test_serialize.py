@@ -85,36 +85,30 @@ def test_reports_serialize_to_json():
 
 @pytest.mark.parametrize("p, q", [("z1^3", "1"), ("1", "z1")])
 def test_crosscheck_reuses_outcome_blocks(p, q):
-    # z1^3 disagrees and carries an Artin certificate; 1/z1 agrees on a
-    # refuted Wronskian
+    # z1^3 disagrees on a certified Wronskian; 1/z1 agrees on a refuted one
     report = crosscheck_slice_criterion(poly(p, 1), poly(q, 1))
     W = report.wronskian
     doc = serialize.crosscheck_json(report)
     assert doc["sos"] == serialize.sos_outcome_json(W, sos_certify(W))
-    assert ("artin" in doc) == report.artin_attempted == (p == "z1^3")
-    if report.artin_attempted:
-        assert doc["artin"] == serialize.artin_json(artin_certify(W))
+    assert doc["scan"] == serialize.scan_report_json(report.scan)
+    assert set(doc) == {"verdict", "wronskian", "sos", "scan"}
 
 
 def test_disagreement_with_artin_certificate():
     # the report of a coarse-grid DISAGREE, its Wronskian replaced by
-    # Motzkin's form, which is not SOS but has an Artin certificate
+    # Motzkin's form, which is not SOS but has an Artin certificate: the
+    # document holds the gated evidence and the scan, and no Artin block
     report = crosscheck_slice_criterion(
         poly("z1^2"), poly("1", 1), halfplane_grid=[1 + 0.5j, 2 + 1j]
     )
     motzkin = poly("z1^4*z2^2 + z1^2*z2^4 - 3*z1^2*z2^2 + 1")
     evidence = sos_certify(motzkin)
     assert isinstance(evidence, InfeasibilityEvidence)
-    s, cert = artin_certify(motzkin, candidates=[poly("z1^2 + z2^2")])
-    report = replace(report, wronskian=motzkin, evidence=evidence, artin_result=(s, cert))
+    assert artin_certify(motzkin, candidates=[poly("z1^2 + z2^2")]) is not None
+    report = replace(report, wronskian=motzkin, evidence=evidence)
     doc = json.loads(json.dumps(serialize.crosscheck_json(report), sort_keys=True))
+    assert set(doc) == {"verdict", "wronskian", "sos", "scan"}
     assert doc["verdict"] == "DISAGREE"
-    assert doc["artin_attempted"] is True
     assert doc["sos"]["status"] == "infeasible"
     assert doc["sos"]["evidence"]["margin"] > 0
-    assert doc["artin"] == {
-        "status": "certificate",
-        "denominator": "z1^2 + z2^2",
-        "certificate": json.loads(json.dumps(serialize.certificate_json(cert))),
-    }
     assert doc["scan"]["verdict"] == "pass"

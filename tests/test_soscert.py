@@ -14,12 +14,7 @@ from hypothesis import given, settings, strategies as st
 import _fraction_reference as reference
 import _ipm_reference
 from _helpers import random_square_sum
-from sospencil.errors import (
-    CapacityError,
-    NotRepresentableError,
-    PreconditionError,
-    StructuralError,
-)
+from sospencil.errors import CapacityError, PreconditionError
 from sospencil.exactlinalg import SymMatrix, _is_psd_entries, is_psd, solve_sparse
 from sospencil.parsing import parse_polynomial
 from sospencil.polycore import Polynomial, build_basis, wronskian
@@ -30,7 +25,6 @@ from sospencil.soscert import (
     artin_certify,
     artin_minimize,
     default_artin_candidates,
-    initial_gram,
     sos_certify,
 )
 
@@ -65,30 +59,6 @@ def assert_certifies(F, cert):
     assert total == F
     assert is_psd(cert.gram)
     assert all(d >= 0 for d in cert.D)
-
-
-class TestInitialGram:
-    def test_reconstruction_and_kernel(self):
-        basis = build_basis(2, (2, 2))
-        rng = random.Random(3)
-        monos = basis.monomials
-        G = SymMatrix(len(monos))
-        for _ in range(8):
-            i, j = rng.randrange(len(monos)), rng.randrange(len(monos))
-            G.set(min(i, j), max(i, j), Fraction(rng.randint(-4, 4)))
-        from sospencil.polarize import quadratic_form_polynomial
-
-        F = quadratic_form_polynomial(G, basis)
-        form = initial_gram(F, basis)
-        assert quadratic_form_polynomial(form.A0, basis) == F
-        # every kernel perturbation reproduces F as well
-        for el in form.kernel:
-            shifted = form.A0 + el.matrix.scale(Fraction(5, 3))
-            assert quadratic_form_polynomial(shifted, basis) == F
-
-    def test_unrepresentable_coefficient(self):
-        with pytest.raises(NotRepresentableError):
-            initial_gram(poly("z1^4"), build_basis(1, (1,)))
 
 
 class TestCertifySuccess:
@@ -173,15 +143,7 @@ class TestStageOrder:
 
 
 class TestBasisArgument:
-    """initial_gram takes only a MonomialBasis; a constant gets the basis of
-    a one-variable ring."""
-
-    @pytest.mark.parametrize(
-        "basis", [list(build_basis(1, (1, 1)).monomials), "abc"], ids=["list", "str"]
-    )
-    def test_initial_gram_rejects(self, basis):
-        with pytest.raises(StructuralError, match="basis must be a MonomialBasis"):
-            initial_gram(poly("z1^2 + z2^2"), basis)
+    """A constant gets the basis of a one-variable ring."""
 
     def test_constant_over_one_variable(self):
         # a constant is lifted into a one-variable ring before its basis is built
