@@ -20,6 +20,10 @@ identity as one sparse linear system over the pencil's entries;
 ``null_pencils`` returns its homogeneous solutions, and
 ``gramkernel.defect_completion`` solves it with one matrix given.
 
+The identities are checked as integer residuals (``_identity_residuals``):
+each side is summed on integer numerators over one denominator, and only a
+nonzero residual term becomes a Fraction (``polycore._difference``).
+
 A pair pencil depends only on (alpha, beta, basis), so it is built once and
 kept in a bounded memo, a ``functools.lru_cache`` of ``_PAIR_MEMO_SIZE``
 (1024) keys. The key is the validated exponent tuples and the basis, which
@@ -36,10 +40,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import CapacityError, InternalConsistencyError, PreconditionError, StructuralError
 from .exactlinalg import SymMatrix, sparse_nullspace
-from .polycore import MonomialBasis, Polynomial, _integer_terms, check_basis, wronskian
+from .polycore import (
+    MonomialBasis,
+    Polynomial,
+    _difference,
+    _integer_terms,
+    _over,
+    _wronskian_numerators,
+    check_basis,
+)
 
 # Largest basis over which an exact family is built: null_pencils here,
 # kernel_basis in gramkernel and sos_certify in soscert. A Gram family has
@@ -153,22 +166,48 @@ def pencil_row_action(matrices, basis):
 def quadratic_form_polynomial(matrix, basis):
     """Psi(z) M Psi(z)^T for a single symmetric matrix M."""
     check_basis(basis)
-    d = basis.nvars
-    terms = {}
-    for (i, j), value in matrix.entries():
-        exps = tuple(a + b for a, b in zip(basis.monomials[i], basis.monomials[j]))
-        weight = value if i == j else 2 * value
-        terms[exps] = terms[exps] + weight if exps in terms else weight
-    return Polynomial._nonzero(d, terms)
+    return _over(basis.nvars, *_form_numerators(matrix, basis.monomials))
+
+
+def _form_numerators(matrix, monomials):
+    """Psi M Psi^T over the listed monomials as (den, pairs), the sides of
+    polycore._difference: den is the lcm of M's denominators, and entry
+    (i, j) adds its numerator, twice when i != j, at m_i + m_j."""
+    entries = matrix.entries()
+    den = math.lcm(1, *(v.denominator for _, v in entries))
+    sums = {}
+    for (i, j), v in entries:
+        exps = tuple(map(add, monomials[i], monomials[j]))
+        n = v.numerator * (den // v.denominator)
+        sums[exps] = sums.get(exps, 0) + (n if i == j else 2 * n)
+    return den, sums.items()
 
 
 def cross_product_polynomial(pencil):
-    """Psi(zeta) A(z) Psi(z)^T as a polynomial in (zeta_1..zeta_d, z_1..z_d):
-    row r of A(z) Psi(z)^T times zeta^(basis monomial r)."""
-    basis = pencil.basis
-    rows = pencil_row_action(pencil.matrices, basis)
-    terms = {m + e: c for m, row in zip(basis.monomials, rows) for e, c in row._terms.items()}
-    return Polynomial._trusted(2 * basis.nvars, terms)
+    """Psi(zeta) A(z) Psi(z)^T as a polynomial in (zeta_1..zeta_d, z_1..z_d)."""
+    return _over(2 * pencil.basis.nvars, *_cross_numerators(pencil))
+
+
+def _cross_numerators(pencil):
+    """Psi(zeta) A(z) Psi(z)^T as (den, pairs), the sides of
+    polycore._difference: den is the lcm of the entries' denominators, and
+    entry (i, j) of A_k adds its numerator at zeta^m_i z^(m_j + e_k), and at
+    zeta^m_j z^(m_i + e_k) when i != j."""
+    monos = pencil.basis.monomials
+    den = math.lcm(
+        1, *(v.denominator for matrix in pencil.matrices for _, v in matrix.entries())
+    )
+    sums = {}
+    for k, matrix in enumerate(pencil.matrices):
+        shifted = monos if k == 0 else [m[: k - 1] + (m[k - 1] + 1,) + m[k:] for m in monos]
+        for (i, j), v in matrix.entries():
+            n = v.numerator * (den // v.denominator)
+            exps = monos[i] + shifted[j]
+            sums[exps] = sums.get(exps, 0) + n
+            if i != j:
+                exps = monos[j] + shifted[i]
+                sums[exps] = sums.get(exps, 0) + n
+    return den, sums.items()
 
 
 def _pencil_over(basis, den, entries):
@@ -405,16 +444,21 @@ def _identity_residuals(pencil, q, p):
 
     Returns (cross, diagonals): Psi(zeta) A(z) Psi(z)^T - q(zeta) p(z) in
     (zeta_1..zeta_d, z_1..z_d), and Psi A_k Psi^T - W_k[q, p] for k = 1..d.
-    Each identity holds exactly when its residual is zero.
+    Each identity holds exactly when its residual is zero. Both sides are
+    summed on integer numerators (polycore._difference): the pencil's side
+    by _cross_numerators and _form_numerators, and the term pair
+    a zeta^alpha, b z^beta of q and p subtracts a b at zeta^alpha z^beta.
     """
-    basis = pencil.basis
-    d = basis.nvars
-    pad = (0,) * d
-    zeta_q = Polynomial._trusted(2 * d, {exps + pad: c for exps, c in q._terms.items()})
-    z_p = Polynomial._trusted(2 * d, {pad + exps: c for exps, c in p._terms.items()})
-    cross = cross_product_polynomial(pencil) - zeta_q * z_p
+    d = pencil.basis.nvars
+    monos = pencil.basis.monomials
+    q_den, q_terms = _integer_terms(q._terms)
+    p_den, p_terms = _integer_terms(p._terms)
+    product = [(alpha + beta, a * b) for alpha, a in q_terms for beta, b in p_terms]
+    cross = _difference(2 * d, _cross_numerators(pencil), (q_den * p_den, product))
     diagonals = [
-        quadratic_form_polynomial(pencil.matrices[k], basis) - wronskian(q, p, k)
+        _difference(
+            d, _form_numerators(pencil.matrices[k], monos), _wronskian_numerators(q, p, k)
+        )
         for k in range(1, d + 1)
     ]
     return cross, diagonals

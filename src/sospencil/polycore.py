@@ -6,7 +6,13 @@ relies on this module staying exact: floats are rejected at the door (the
 public constructor here; SymMatrix.add, set and from_dense for the matrices
 whose forms are summed into polynomials), and products run on integer
 numerators over one common denominator, giving one Fraction per result
-term.
+term. ``wronskian`` is one such pass over the term pairs of q and p.
+
+The exact identity checks of the pipeline (pencil identities, Gram forms,
+weighted squares) run the same way: each side is a ``(den, pairs)`` list of
+integer numerators over one denominator, and ``_difference`` subtracts them
+over the lcm. Only a nonzero residual term becomes a Fraction, so an
+identity that holds builds none.
 
 The public constructor validates and merges its terms. Results the module
 builds itself go through ``Polynomial._trusted``, which stores its terms
@@ -217,10 +223,7 @@ class Polynomial:
                 for e2, n2 in b:
                     exps = tuple(map(add, e1, e2))
                     sums[exps] = sums.get(exps, 0) + n1 * n2
-            den = da * db
-            return Polynomial._trusted(
-                self.nvars, {e: Fraction(n, den) for e, n in sums.items() if n}
-            )
+            return _over(self.nvars, da * db, sums.items())
         coeff = _coerce(other)
         if not coeff:
             return Polynomial._trusted(self.nvars, {})
@@ -319,6 +322,50 @@ def _integer_terms(terms):
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
+def _over(nvars, den, pairs):
+    """The polynomial sum of numerator / den over ``pairs`` of (exponents,
+    int), each key once: one Fraction per nonzero numerator."""
+    return Polynomial._trusted(nvars, {e: Fraction(n, den) for e, n in pairs if n})
+
+
+def _difference(nvars, left, right):
+    """left - right as a polynomial, for sides given as (den, pairs) the way
+    _integer_terms returns them: int numerators over a positive
+    denominator, each key at most once per side. The sides are subtracted
+    over the lcm of their denominators, so a Fraction is built only for a
+    nonzero residual term."""
+    (ld, lpairs), (rd, rpairs) = left, right
+    den = math.lcm(ld, rd)
+    lf, rf = den // ld, den // rd
+    sums = {e: n * lf for e, n in lpairs}
+    for e, n in rpairs:
+        sums[e] = sums.get(e, 0) - n * rf
+    return _over(nvars, den, sums.items())
+
+
+def _squares_numerators(squares):
+    """sum of w * g^2 over (w, g) in ``squares`` as (den, pairs), for a
+    Fraction weight w and a Polynomial g per square. Each square adds the
+    products of its terms' numerators, an unequal pair twice; den is the
+    lcm over the squares of w's denominator times the square of g's."""
+    scaled = []
+    for weight, poly in squares:
+        gd, g = _integer_terms(poly._terms)
+        scaled.append((weight.numerator, weight.denominator * gd * gd, g))
+    den = math.lcm(1, *(wd for _, wd, _ in scaled))
+    sums = {}
+    for wn, wd, g in scaled:
+        f = wn * (den // wd)
+        for a, (e1, n1) in enumerate(g):
+            exps = tuple(e + e for e in e1)
+            sums[exps] = sums.get(exps, 0) + f * n1 * n1
+            n1 *= 2 * f
+            for e2, n2 in g[a + 1 :]:
+                exps = tuple(map(add, e1, e2))
+                sums[exps] = sums.get(exps, 0) + n1 * n2
+    return den, sums.items()
+
+
 # -- monomial bases -------------------------------------------------------------
 
 
@@ -395,9 +442,31 @@ def build_basis(total_cap, var_caps):
 
 def wronskian(q, p, index):
     """q * dp/dz_index - p * dq/dz_index."""
+    return _over(q.nvars, *_wronskian_numerators(q, p, index))
+
+
+def _wronskian_numerators(q, p, index):
+    """wronskian(q, p, index) as (den, pairs), in one pass over the term
+    pairs: a z^alpha of q and b z^beta of p add (beta_k - alpha_k) a b to
+    z^(alpha + beta - e_k), with k = index - 1."""
     if q.nvars != p.nvars:
         raise StructuralError("wronskian operands must share the variable count")
-    return q * p.diff(index) - p * q.diff(index)
+    if not 1 <= index <= q.nvars:
+        raise StructuralError(f"variable index {index} out of range 1..{q.nvars}")
+    k = index - 1
+    da, a = _integer_terms(q._terms)
+    db, b = _integer_terms(p._terms)
+    sums = {}
+    for e1, n1 in a:
+        x = e1[k]
+        for e2, n2 in b:
+            w = e2[k] - x
+            if w:
+                exps = list(map(add, e1, e2))
+                exps[k] -= 1
+                exps = tuple(exps)
+                sums[exps] = sums.get(exps, 0) + w * n1 * n2
+    return da * db, sums.items()
 
 
 # -- rational functions -------------------------------------------------------------

@@ -15,7 +15,8 @@ the null pencils (polarize.null_pencils). B is taken when its wanted axes
 are PSD; otherwise one _solve_family call searches the block-diagonal
 family diag(B_k) + sum lam_i diag(K_i,k). A row whose diagonal is zero
 in B_k and in every K_i,k goes in as an exact zero, since a PSD member
-vanishes on it. `verify_realization` re-derives every invariant exactly.
+vanishes on it. `verify_realization` re-derives every invariant exactly,
+each identity as an integer residual that builds no Fraction when it holds.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from .errors import (
 from .exactlinalg import SymMatrix, is_psd
 from .polarize import (
     SymmetricPencil,
+    _form_numerators,
     _identity_residuals,
     null_pencils,
     product_polarization,
-    quadratic_form_polynomial,
 )
-from .polycore import Polynomial, wronskian
+from .polycore import Polynomial, _difference, _squares_numerators, wronskian
 from .soscert import (
     _INFEAS_TOL,
     InfeasibilityEvidence,
@@ -177,12 +178,13 @@ def verify_realization(realization):
     for k, diff in enumerate(diagonals, 1):
         report[f"wronskian_diagonal_{k}"] = diff.is_zero()
 
-    squares = Polynomial.zero(d)
-    for weight, poly in cert.squares:
-        squares = squares + poly * poly * weight
     report["certificate_squares"] = (
         cert.basis == basis
-        and quadratic_form_polynomial(pencil.matrices[1], basis) == squares
+        and _difference(
+            d,
+            _form_numerators(pencil.matrices[1], basis.monomials),
+            _squares_numerators(cert.squares),
+        ).is_zero()
     )
 
     for k in realization.psd_axes:

@@ -59,7 +59,6 @@ import numpy as np
 
 from .errors import (
     InternalConsistencyError,
-    NotRepresentableError,
     PreconditionError,
     StructuralError,
 )
@@ -73,8 +72,16 @@ from .exactlinalg import (
     solve_sparse,
 )
 from .gramkernel import _pair_classes
-from .polarize import GRAM_CAPACITY, _check_capacity, quadratic_form_polynomial
-from .polycore import MonomialBasis, Polynomial, basis_key, build_basis
+from .polarize import GRAM_CAPACITY, _check_capacity, _form_numerators
+from .polycore import (
+    MonomialBasis,
+    Polynomial,
+    _difference,
+    _integer_terms,
+    _squares_numerators,
+    basis_key,
+    build_basis,
+)
 
 ARTIN_MAX_POWER = 3
 
@@ -237,17 +244,6 @@ def _gram_over(F, monos, classes):
     return A0, missing
 
 
-def _full_gram(F, basis, classes):
-    """_gram_over on the whole basis; raises when F is not representable."""
-    A0, missing = _gram_over(F, basis.monomials, classes)
-    if missing:
-        raise NotRepresentableError(
-            f"monomial with exponents {missing[0]} is not a product of two basis "
-            "monomials"
-        )
-    return A0
-
-
 def _star_kernel(classes, size):
     """Sparse basis of the kernel space over an arbitrary monomial list.
 
@@ -272,10 +268,22 @@ def _star_kernel(classes, size):
     return mats
 
 
+def _represents(F, monomials, gram):
+    """Whether Psi gram Psi^T == F over the listed monomials, as an integer
+    residual (polycore._difference)."""
+    residual = _difference(
+        F.nvars, _form_numerators(gram, monomials), _integer_terms(F._terms)
+    )
+    return residual.is_zero()
+
+
 def _certificate_from_gram(F, basis, gram):
-    """Exact LDL^T acceptance; None when gram is not PSD."""
-    represented = quadratic_form_polynomial(gram, basis)
-    if represented != F:
+    """Exact LDL^T acceptance; None when gram is not PSD.
+
+    Both identities, Psi gram Psi^T == F and sum of w g^2 == F over the
+    squares read off the factors, are checked as integer residuals.
+    """
+    if not _represents(F, basis.monomials, gram):
         raise InternalConsistencyError("candidate Gram matrix does not represent F")
     factored = psd_factor(gram)
     if factored is None:
@@ -288,10 +296,10 @@ def _certificate_from_gram(F, basis, gram):
             continue
         column = {monos[perm[r]]: L[r][i] for r in range(len(monos)) if L[r][i]}
         squares.append((weight, Polynomial._trusted(basis.nvars, column)))
-    recon = Polynomial.zero(basis.nvars)
-    for weight, poly in squares:
-        recon = recon + poly * poly * weight
-    if recon != F:
+    residual = _difference(
+        F.nvars, _squares_numerators(squares), _integer_terms(F._terms)
+    )
+    if not residual.is_zero():
         raise InternalConsistencyError("weighted squares do not reconstruct F")
     return SosCertificate(
         basis=basis,
@@ -893,8 +901,16 @@ def _full_family_evidence(F, basis, classes, reason=None):
     _least_eigenpair by construction, so the witness vanishes at
     every pair of a dropped class and is orthogonal to its kernel
     directions too.
+
+    The default basis holds two monomials whose product is any term of F,
+    and the sign-symmetric classes keep the class of every term, so every
+    term has a pair; a term without one is a fault of this module.
     """
-    A0 = _full_gram(F, basis, classes)
+    A0, missing = _gram_over(F, basis.monomials, classes)
+    if missing:
+        raise InternalConsistencyError(
+            f"term with exponents {missing[0]} of F has no pair in the default basis"
+        )
     solve = _max_min_eig(A0, _star_kernel(classes, len(basis)), len(basis))
     return _numeric_evidence(solve, reason=reason)
 
@@ -945,9 +961,9 @@ def sos_certify(F):
             reason="a coefficient of F is reachable only through Gram rows "
             "that exact preprocessing pinned to zero",
         )
-    to_full = dict(enumerate(alive))
-    if quadratic_form_polynomial(A0.reindexed(to_full, N), basis) != F:
+    if not _represents(F, monos, A0):
         raise InternalConsistencyError("initial Gram matrix does not represent F")
+    to_full = dict(enumerate(alive))
     kernel_mats = _star_kernel(alive_classes, len(monos))
 
     gram = A0 if is_psd(A0) else None

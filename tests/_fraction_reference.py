@@ -15,13 +15,21 @@ chain pencil per term pair, with every entry summed by ``SymMatrix.add``.
 ``sospencil.polarize`` memoizes the pair pencils and sums integer
 numerators; the tests require the same basis and the same entries, in the
 same order.
+
+The exact identity checks are written here as Fraction polynomials: the
+quadratic form summed entry by entry, the cross form from the pencil's row
+action, the weighted squares from polynomial products, and each pencil
+identity as the difference of two polynomials, its Wronskian from two
+products, two derivatives and a subtraction.
+The package computes each as integer numerators over one denominator; the
+tests require the same polynomials and the same residuals.
 """
 
 from fractions import Fraction
 
-from sospencil.exactlinalg import SymMatrix
-from sospencil.polarize import chain_pencil
-from sospencil.polycore import build_basis
+from sospencil.exactlinalg import SymMatrix, is_psd
+from sospencil.polarize import chain_pencil, pencil_row_action
+from sospencil.polycore import Polynomial, build_basis
 
 
 def rref(rows):
@@ -191,3 +199,65 @@ def product_polarization(q, p):
                 for (i, j), value in piece[k].entries():
                     matrices[k].add(i, j, value * weight)
     return basis, matrices
+
+
+def quadratic_form_polynomial(matrix, basis):
+    """Psi(z) M Psi(z)^T, every entry added as a Fraction."""
+    terms = {}
+    for (i, j), value in matrix.entries():
+        exps = tuple(a + b for a, b in zip(basis.monomials[i], basis.monomials[j]))
+        weight = value if i == j else 2 * value
+        terms[exps] = terms.get(exps, Fraction(0)) + weight
+    return Polynomial(basis.nvars, terms)
+
+
+def cross_product_polynomial(pencil):
+    """Psi(zeta) A(z) Psi(z)^T in (zeta_1..zeta_d, z_1..z_d): row r of
+    A(z) Psi(z)^T times zeta^(basis monomial r)."""
+    basis = pencil.basis
+    rows = pencil_row_action(pencil.matrices, basis)
+    terms = {m + e: c for m, row in zip(basis.monomials, rows) for e, c in row.terms()}
+    return Polynomial(2 * basis.nvars, terms)
+
+
+def squares_sum(nvars, squares):
+    """sum of w * g^2 over (w, g) in ``squares``."""
+    total = Polynomial.zero(nvars)
+    for weight, poly in squares:
+        total = total + poly * poly * weight
+    return total
+
+
+def identity_residuals(pencil, q, p):
+    """(cross, diagonals) of polarize._identity_residuals: the pencil's side
+    minus the product's, as polynomials."""
+    basis = pencil.basis
+    d = basis.nvars
+    pad = (0,) * d
+    zeta_q = Polynomial(2 * d, {exps + pad: c for exps, c in q.terms()})
+    z_p = Polynomial(2 * d, {pad + exps: c for exps, c in p.terms()})
+    cross = cross_product_polynomial(pencil) - zeta_q * z_p
+    diagonals = [
+        quadratic_form_polynomial(pencil.matrices[k], basis)
+        - (q * p.diff(k) - p * q.diff(k))
+        for k in range(1, d + 1)
+    ]
+    return cross, diagonals
+
+
+def realization_report(realization):
+    """The report of realize.verify_realization."""
+    pencil = realization.pencil
+    basis = pencil.basis
+    s = realization.s
+    cert = realization.certificate
+    cross, diagonals = identity_residuals(pencil, realization.q * s, realization.p * s)
+    report = {"cross_product": cross.is_zero()}
+    for k, diff in enumerate(diagonals, 1):
+        report[f"wronskian_diagonal_{k}"] = diff.is_zero()
+    report["certificate_squares"] = cert.basis == basis and quadratic_form_polynomial(
+        pencil.matrices[1], basis
+    ) == squares_sum(basis.nvars, cert.squares)
+    for k in realization.psd_axes:
+        report[f"axis{k}_psd"] = is_psd(pencil.matrices[k])
+    return report

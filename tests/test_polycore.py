@@ -271,8 +271,14 @@ class TestWronskian:
         assert left == wronskian(q, p1, 2) + wronskian(q, p2, 2)
 
     def test_index_out_of_range(self):
-        with pytest.raises(StructuralError):
-            wronskian(poly("z1"), poly("z1"), 2)
+        for q, p, index, message in (
+            (poly("z1"), poly("z1"), 2, r"variable index 2 out of range 1\.\.1"),
+            (poly("z1", 2), poly("z2^2 + 1", 2), 0, r"variable index 0 out of range 1\.\.2"),
+            (poly("z1", 2), poly("z2^2 + 1", 2), 3, r"variable index 3 out of range 1\.\.2"),
+            (poly("z1"), poly("z2"), 1, "share the variable count"),
+        ):
+            with pytest.raises(StructuralError, match=message):
+                wronskian(q, p, index)
 
 
 class TestRationalFunction:
