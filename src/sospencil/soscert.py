@@ -33,7 +33,11 @@ exact PSD test runs per block.
 
 Every numeric solve of a family with kernel directions goes through one
 deterministic numpy primal-dual interior point method (_ipm), which factors
-X and Z together by stacked LAPACK calls. A family with no directions needs
+X and Z together by stacked LAPACK calls. Its six LAPACK calls per
+iteration go straight to the gufuncs behind numpy.linalg, under
+numpy.linalg's error handling (_lapack_errors): at the sizes most solves
+have (N from 3 to 18 on the benchmark's inputs) numpy.linalg's per-call
+wrapper costs more than LAPACK itself. A family with no directions needs
 no search: its max-min-eigenvalue problem is solved by one
 eigendecomposition per connected block of A0 (_least_eigenpair).
 Infeasibility is reported as numeric dual evidence (a witness W >= 0 with
@@ -56,6 +60,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     InternalConsistencyError,
@@ -98,6 +103,13 @@ _SCHUR_BLOCK = 1 << 20  # entries of the products X F_l Zi held at once
 _HUNT_SLACK = 1e-6
 _ROUND_BOUNDS = (10, 100, 10**4, 10**6)
 _VECTOR_BOUNDS = (10, 100, 10**4)
+
+# The gufuncs behind np.linalg.cholesky, inv, eigvalsh and solve (1-D right
+# side), called as those functions call them; see _lapack_errors.
+_cholesky = _umath_linalg.cholesky_lo
+_inv = _umath_linalg.inv
+_eigvalsh = _umath_linalg.eigvalsh_lo
+_solve1 = _umath_linalg.solve1
 
 
 @dataclass(frozen=True)
@@ -503,19 +515,43 @@ class _Family:
         return 0.5 * (M + M.T)
 
 
+def _raise_linalg_error(err, flag):
+    raise np.linalg.LinAlgError(f"LAPACK call failed ({err} value)")
+
+
+def _lapack_errors():
+    """numpy.linalg's error state for its gufuncs: a LAPACK failure, which
+    the gufunc flags as an invalid value, raises LinAlgError, and the
+    other floating-point flags are ignored. Entered around the LAPACK
+    calls alone, so other arithmetic keeps numpy's default warnings."""
+    return np.errstate(
+        call=_raise_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
+
+
 def _inverse_choleskys(XZ):
     """L with L[0] X L[0]^T = I and L[1] Z L[1]^T = I for the stacked pair
     XZ = (X, Z), from one stacked Cholesky and inverse; raises LinAlgError
     unless both are positive definite."""
-    return np.linalg.inv(np.linalg.cholesky(XZ))
+    with _lapack_errors():
+        return _inv(_cholesky(XZ, signature="d->d"), signature="d->d")
 
 
 def _max_steps(L, dXZ):
     """The largest alphas with X + alpha dX and Z + alpha dZ still PSD, for
     the stacked pair dXZ = (dX, dZ) and L from _inverse_choleskys, from one
     stacked eigvalsh."""
-    low = np.linalg.eigvalsh(L @ dXZ @ L.transpose(0, 2, 1))[:, 0]
+    S = L @ dXZ @ L.transpose(0, 2, 1)
+    with _lapack_errors():
+        low = _eigvalsh(S, signature="d->d")[:, 0]
     return [math.inf if v >= 0 else -1.0 / v for v in low.tolist()]
+
+
+def _schur_solve(M, r):
+    """M^-1 r for a square M and a vector r, as np.linalg.solve; raises
+    LinAlgError when M is singular."""
+    with _lapack_errors():
+        return _solve1(M, r, signature="dd->d")
 
 
 def _ipm(C, fam, b):
@@ -537,16 +573,21 @@ def _ipm(C, fam, b):
     An iteration makes few numpy calls: the stacked pairs (X, Z) and
     (dX, dZ) live in buffers allocated once per call, the family's Schur
     scatter is built once (_Family.schur), and the predictor (target 0, no
-    second-order term) has its own formula. Every floating-point operation
-    is that of the plain formulation kept in tests/_ipm_reference.py, in the
-    same order, so the iterates are that formulation's bit for bit.
+    second-order term) has its own formula. Its six LAPACK calls (the
+    stacked Cholesky and inverse, two stacked eigvalsh and two Schur
+    solves) skip numpy.linalg's wrapper, whose type checks and promotion
+    cost more than LAPACK at small N, and call its gufuncs on the float64
+    arrays the wrapper would pass. Every floating-point operation is that
+    of the plain formulation kept in tests/_ipm_reference.py, which calls
+    numpy.linalg, in the same order, so the iterates are that formulation's
+    bit for bit.
     """
     N = C.shape[0]
     c_norm = 1.0 + float(np.linalg.norm(C))
     b_norm = 1.0 + float(np.linalg.norm(b))
     start = max(10.0, math.sqrt(N), c_norm)
     inner, combine, schur = fam.inner, fam.combine, fam.schur
-    solve, vdot, sqrt = np.linalg.solve, np.vdot, math.sqrt
+    solve, vdot, sqrt = _schur_solve, np.vdot, math.sqrt
     XZ = np.empty((2, N, N))
     predictor = np.empty((2, N, N))
     corrector = np.empty((2, N, N))

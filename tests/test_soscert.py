@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -1058,9 +1059,31 @@ class TestStackedFactorizations:
                     expected.append(math.inf if low >= 0 else -1.0 / low)
                 assert soscert._max_steps(L, np.stack(D)) == expected
 
+    @pytest.mark.parametrize("N", range(1, 31))
+    def test_schur_solve_bitwise_equal_to_solve(self, N):
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            B, C = rng.standard_normal((2, N, N))
+            r = rng.standard_normal(N)
+            for M in (B, C @ C.T + 0.1 * np.eye(N)):
+                assert soscert._schur_solve(M, r).tobytes() == np.linalg.solve(M, r).tobytes()
+
     def test_factorization_failure_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            soscert._inverse_choleskys(np.stack((np.eye(2), -np.eye(2))))
+        """An indefinite X or Z and a singular M raise LinAlgError, with no
+        RuntimeWarning and numpy's error state as it was before the call."""
+        breakdowns = [
+            lambda: soscert._inverse_choleskys(np.stack((np.eye(2), -np.eye(2)))),
+            lambda: soscert._inverse_choleskys(np.stack((np.diag([1.0, -1.0]), np.eye(2)))),
+            lambda: soscert._schur_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)),
+        ]
+        for call in breakdowns:
+            before = np.geterr(), np.geterrcall()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(np.linalg.LinAlgError):
+                    call()
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert (np.geterr(), np.geterrcall()) == before
 
 
 class TestArtin:
