@@ -83,12 +83,12 @@ def _scan_grids(args):
     if args.z1_real is not None or args.z1_imag is not None:
         reals = (
             _csv_floats(args.z1_real, "--z1-real")
-            if args.z1_real
+            if args.z1_real is not None
             else default_real_axis()
         )
         imags = (
             _csv_floats(args.z1_imag, "--z1-imag")
-            if args.z1_imag
+            if args.z1_imag is not None
             else sorted({z.imag for z in default_halfplane_points()})
         )
         halfplane_grid = [complex(x, y) for x in reals for y in imags]

@@ -103,10 +103,7 @@ def elementary_transform(exps, r, l, caps):
         raise PreconditionError(
             f"transformation ({r} <- {l}) is inapplicable to {exps} under caps {caps}"
         )
-    out = list(exps)
-    out[r - 1] += 1
-    out[l - 1] -= 1
-    return tuple(out)
+    return _shift(exps, r, l)
 
 
 def _hom(exps, n):

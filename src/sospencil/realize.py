@@ -40,6 +40,7 @@ from .polarize import (
 from .polycore import Polynomial, _difference, _squares_numerators, wronskian
 from .soscert import (
     _INFEAS_TOL,
+    _NO_EXACT_ROUNDING,
     InfeasibilityEvidence,
     SosCertificate,
     _affine_point,
@@ -156,10 +157,7 @@ def _psd_member(B, null, axes):
         return None, _numeric_evidence(
             solve, reason=f"no pencil B + sum lam_i K_i is PSD on axes {list(axes)}"
         )
-    return None, InfeasibilityEvidence(
-        reason="numeric search found a near-feasible point but no exact "
-        "rounding succeeded"
-    )
+    return None, InfeasibilityEvidence(reason=_NO_EXACT_ROUNDING)
 
 
 def verify_realization(realization):

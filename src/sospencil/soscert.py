@@ -34,12 +34,15 @@ exact PSD test runs per block.
 Every numeric solve of a family with kernel directions goes through one
 deterministic numpy primal-dual interior point method (_ipm), which factors
 X and Z together by stacked LAPACK calls. Its six LAPACK calls per
-iteration go straight to the gufuncs behind numpy.linalg, under
-numpy.linalg's error handling (_lapack_errors): at the sizes most solves
-have (N from 3 to 18 on the benchmark's inputs) numpy.linalg's per-call
-wrapper costs more than LAPACK itself. A family with no directions needs
-no search: its max-min-eigenvalue problem is solved by one
-eigendecomposition per connected block of A0 (_least_eigenpair).
+iteration go straight to the gufuncs behind numpy.linalg: at the sizes
+most solves have (N from 3 to 18 on the benchmark's inputs) numpy.linalg's
+per-call wrapper costs more than LAPACK itself. numpy.linalg's error
+handling (_lapack_errors) is entered once per solve, around the whole
+loop, since entering it costs as much as a small call; a LAPACK failure
+or an invalid value in an iteration ends the solve at its best iterate.
+A family with no directions needs no search: its max-min-eigenvalue
+problem is solved by one eigendecomposition per connected block of A0
+(_least_eigenpair).
 Infeasibility is reported as numeric dual evidence (a witness W >= 0 with
 trace 1, orthogonal to the kernel directions, making <W, A0> negative),
 never as a proof, and only when the solve converged and the witness passes
@@ -56,6 +59,7 @@ PSD test reads those numerators, so a failed rounding builds no Fraction.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -103,6 +107,8 @@ _SCHUR_BLOCK = 1 << 20  # entries of the products X F_l Zi held at once
 _HUNT_SLACK = 1e-6
 _ROUND_BOUNDS = (10, 100, 10**4, 10**6)
 _VECTOR_BOUNDS = (10, 100, 10**4)
+# why a search that came near feasibility is undecided
+_NO_EXACT_ROUNDING = "numeric search found a near-feasible point but no exact rounding succeeded"
 
 # The gufuncs behind np.linalg.cholesky, inv, eigvalsh and solve (1-D right
 # side), called as those functions call them; see _lapack_errors.
@@ -522,36 +528,24 @@ def _raise_linalg_error(err, flag):
 def _lapack_errors():
     """numpy.linalg's error state for its gufuncs: a LAPACK failure, which
     the gufunc flags as an invalid value, raises LinAlgError, and the
-    other floating-point flags are ignored. Entered around the LAPACK
-    calls alone, so other arithmetic keeps numpy's default warnings."""
+    other floating-point flags are ignored. _ipm enters it once per solve,
+    around its whole loop, since entering it costs about as much as a small
+    LAPACK call; an invalid value in the loop's other arithmetic then
+    raises too, in place of a warning and a NaN iterate that could never
+    become the best one."""
     return np.errstate(
         call=_raise_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
     )
 
 
-def _inverse_choleskys(XZ):
-    """L with L[0] X L[0]^T = I and L[1] Z L[1]^T = I for the stacked pair
-    XZ = (X, Z), from one stacked Cholesky and inverse; raises LinAlgError
-    unless both are positive definite."""
-    with _lapack_errors():
-        return _inv(_cholesky(XZ, signature="d->d"), signature="d->d")
-
-
 def _max_steps(L, dXZ):
     """The largest alphas with X + alpha dX and Z + alpha dZ still PSD, for
-    the stacked pair dXZ = (dX, dZ) and L from _inverse_choleskys, from one
-    stacked eigvalsh."""
+    the stacked pair dXZ = (dX, dZ) and L with L[0] X L[0]^T = I and
+    L[1] Z L[1]^T = I, from one stacked eigvalsh; call it under
+    _lapack_errors."""
     S = L @ dXZ @ L.transpose(0, 2, 1)
-    with _lapack_errors():
-        low = _eigvalsh(S, signature="d->d")[:, 0]
+    low = _eigvalsh(S, signature="d->d")[:, 0]
     return [math.inf if v >= 0 else -1.0 / v for v in low.tolist()]
-
-
-def _schur_solve(M, r):
-    """M^-1 r for a square M and a vector r, as np.linalg.solve; raises
-    LinAlgError when M is singular."""
-    with _lapack_errors():
-        return _solve1(M, r, signature="dd->d")
 
 
 def _ipm(C, fam, b):
@@ -577,17 +571,20 @@ def _ipm(C, fam, b):
     stacked Cholesky and inverse, two stacked eigvalsh and two Schur
     solves) skip numpy.linalg's wrapper, whose type checks and promotion
     cost more than LAPACK at small N, and call its gufuncs on the float64
-    arrays the wrapper would pass. Every floating-point operation is that
-    of the plain formulation kept in tests/_ipm_reference.py, which calls
-    numpy.linalg, in the same order, so the iterates are that formulation's
-    bit for bit.
+    arrays the wrapper would pass. The whole loop runs under numpy.linalg's
+    error state (_lapack_errors), entered once per solve: a LAPACK failure
+    or an invalid value anywhere in an iteration raises LinAlgError, which
+    ends the solve at its best iterate. Every floating-point operation is
+    that of the plain formulation kept in tests/_ipm_reference.py, which
+    calls numpy.linalg, in the same order, so the iterates are that
+    formulation's bit for bit.
     """
     N = C.shape[0]
     c_norm = 1.0 + float(np.linalg.norm(C))
     b_norm = 1.0 + float(np.linalg.norm(b))
     start = max(10.0, math.sqrt(N), c_norm)
     inner, combine, schur = fam.inner, fam.combine, fam.schur
-    solve, vdot, sqrt = _schur_solve, np.vdot, math.sqrt
+    vdot, sqrt = np.vdot, math.sqrt
     XZ = np.empty((2, N, N))
     predictor = np.empty((2, N, N))
     corrector = np.empty((2, N, N))
@@ -597,36 +594,36 @@ def _ipm(C, fam, b):
     y = np.zeros(fam.count)
     best = (math.inf, y, X)
     since_best = 0
-    for _ in range(_IPM_MAX_ITERS):
-        rp = -b - inner(X)
-        Rd = C + combine(y) - Z
-        rd = Rd.ravel()
-        gap = float(vdot(X, Z))
-        scale = 1.0 + abs(float(vdot(C, X))) + abs(float(b @ y))
-        # sqrt(v @ v) is np.linalg.norm(v), bit for bit
-        error = max(gap / scale, sqrt(rp @ rp) / b_norm, sqrt(rd @ rd) / c_norm)
-        if error < best[0]:
-            best, since_best = (error, y, X), 0
-        else:
-            since_best += 1
-        if error <= _IPM_TOL or since_best >= _IPM_STALL:
-            break
-        mu = gap / N
-        XZ[0] = X
-        XZ[1] = Z
-        try:
-            L = _inverse_choleskys(XZ)
+    with _lapack_errors(), suppress(np.linalg.LinAlgError):
+        for _ in range(_IPM_MAX_ITERS):
+            rp = -b - inner(X)
+            Rd = C + combine(y) - Z
+            rd = Rd.ravel()
+            gap = float(vdot(X, Z))
+            scale = 1.0 + abs(float(vdot(C, X))) + abs(float(b @ y))
+            # sqrt(v @ v) is np.linalg.norm(v), bit for bit
+            error = max(gap / scale, sqrt(rp @ rp) / b_norm, sqrt(rd @ rd) / c_norm)
+            if error < best[0]:
+                best, since_best = (error, y, X), 0
+            else:
+                since_best += 1
+            if error <= _IPM_TOL or since_best >= _IPM_STALL:
+                break
+            mu = gap / N
+            XZ[0] = X
+            XZ[1] = Z
+            L = _inv(_cholesky(XZ, signature="d->d"), signature="d->d")
             Zi = L[1].T @ L[1]
             M = schur(X, Zi)
             XRdZi = X @ Rd @ Zi
             # the HKM direction for target t and second-order term corr is
             #   dy = M^-1 (inner(t Zi - X - X Rd Zi - corr) - rp),
             #   dZ = Rd + combine(dy),  dX = sym(t Zi - X - X dZ Zi - corr).
-            # The predictor has t = 0 and corr = 0. It computes t Zi - X once
-            # and drops the "- 0.0", which changes no bit; -X in place of
-            # 0.0 Zi - X would change the sign of some zeros.
+            # The predictor has t = 0 and corr = 0. It computes t Zi - X
+            # once and drops the "- 0.0", which changes no bit; -X in place
+            # of 0.0 Zi - X would change the sign of some zeros.
             head = 0.0 * Zi - X
-            dy = solve(M, inner(head - XRdZi) - rp)
+            dy = _solve1(M, inner(head - XRdZi) - rp, signature="dd->d")
             np.add(Rd, combine(dy), out=dZa)
             dX = head - X @ dZa @ Zi
             np.multiply(0.5, dX + dX.T, out=dXa)
@@ -634,16 +631,14 @@ def _ipm(C, fam, b):
             mu_aff = float(vdot(X + ap * dXa, Z + ad * dZa)) / N
             sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
             target, corr = sigma * mu, dXa @ dZa @ Zi
-            dy = solve(M, inner(target * Zi - X - XRdZi - corr) - rp)
+            dy = _solve1(M, inner(target * Zi - X - XRdZi - corr) - rp, signature="dd->d")
             np.add(Rd, combine(dy), out=dZc)
             dX = target * Zi - X - X @ dZc @ Zi - corr
             np.multiply(0.5, dX + dX.T, out=dXc)
             ap, ad = (min(1.0, _STEP_FRACTION * step) for step in _max_steps(L, corrector))
-        except np.linalg.LinAlgError:
-            break
-        X = X + ap * dXc
-        y = y + ad * dy
-        Z = Z + ad * dZc
+            X = X + ap * dXc
+            y = y + ad * dy
+            Z = Z + ad * dZc
     error, y, X = best
     return y, X, error <= _IPM_TOL
 
@@ -1021,10 +1016,7 @@ def sos_certify(F):
             gram = _vertex_hunt(A0, kernel_mats, len(monos), solve.t)
         if gram is None:
             # a near-feasible optimum is no evidence of infeasibility
-            return InfeasibilityEvidence(
-                reason="numeric search found a near-feasible point but no "
-                "exact rounding succeeded"
-            )
+            return InfeasibilityEvidence(reason=_NO_EXACT_ROUNDING)
 
     cert = _certificate_from_gram(F, basis, gram.reindexed(to_full, N))
     if cert is None:

@@ -445,6 +445,16 @@ class TestHerglotzScan:
         assert error["type"] == "StructuralError"
         assert "not finite" in error["message"]
 
+    @pytest.mark.parametrize("option", ["--xhat-values", "--z1-real", "--z1-imag"])
+    def test_empty_grid_value_exits_two(self, capsys, option):
+        # an empty --z1-real or --z1-imag used to scan that axis's default
+        # values, with a full report and exit 1
+        code, out, err = run(capsys, "herglotz-scan", "-z1*z2^2", "1", option, "")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error == {"message": "scan grids must be nonempty", "type": "StructuralError"}
+
 
 class TestCrosscheck:
     def test_non_finite_grid_value_exits_two(self, capsys):
@@ -452,6 +462,13 @@ class TestCrosscheck:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "StructuralError"
+
+    @pytest.mark.parametrize("option", ["--z1-real", "--z1-imag"])
+    def test_empty_axis_exits_two(self, capsys, option):
+        code, out, err = run(capsys, "crosscheck", "-1", "z1", option, "")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == "scan grids must be nonempty"
 
     def test_agreement_exit_zero(self, capsys):
         code, doc = run_json(capsys, "crosscheck", "-1", "z1")

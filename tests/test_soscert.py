@@ -672,6 +672,55 @@ class TestIpmMatchesReference:
         families = self.certify_checked(poly(TERNARY_MOTZKIN), monkeypatch)
         assert max(len(fam.scatter) for fam in families) >= 3
 
+    def test_breakdown_returns_start_iterate(self, monkeypatch):
+        """Two equal kernel directions make the Schur matrix singular, so
+        the first solve raises: both formulations return the start iterate,
+        with no RuntimeWarning and numpy's error state as it was before."""
+        S = SymMatrix(3)
+        S.set(0, 1, Fraction(1))
+        S.set(2, 2, Fraction(-1))
+        fam = soscert._Family([S, S], 3, identity=-1.0)
+        C = np.diag([1.0, 2.0, 3.0])
+        b = np.array([0.0, 0.0, 1.0])
+        solves = []
+        solve1 = soscert._solve1
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return solve1(*args, **kwargs)
+
+        monkeypatch.setattr(soscert, "_solve1", spy)
+        before = np.geterr(), np.geterrcall()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = [soscert._ipm(C, fam, b), _ipm_reference._ipm(C, fam, b)]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert (np.geterr(), np.geterrcall()) == before
+        assert len(solves) == 1
+        # start = max(10, sqrt(3), 1 + |C|) = 10
+        for y, X, converged in results:
+            assert y.tobytes() == np.zeros(3).tobytes()
+            assert X.tobytes() == (10.0 * np.eye(3)).tobytes()
+            assert converged is False
+
+    def test_error_state_entered_once_per_solve(self, monkeypatch):
+        entered, solved = [], []
+        lapack_errors, ipm = soscert._lapack_errors, soscert._ipm
+
+        def counted_errors():
+            entered.append(1)
+            return lapack_errors()
+
+        def counted_ipm(C, fam, b):
+            solved.append(1)
+            return ipm(C, fam, b)
+
+        monkeypatch.setattr(soscert, "_lapack_errors", counted_errors)
+        monkeypatch.setattr(soscert, "_ipm", counted_ipm)
+        F = poly(f"(z1^2 + z2^2)^2*({MOTZKIN})")
+        assert_certifies(F, sos_certify(F))
+        assert solved and len(entered) == len(solved)
+
     def test_schur_scatter_is_built_once(self, monkeypatch):
         # two directions per block; the middle block's directions have no
         # entries, so its scatter is empty and reduceat skips both
@@ -1037,7 +1086,20 @@ class TestPairClassesOnce:
 
 
 class TestStackedFactorizations:
-    """One stacked LAPACK call per pair gives the per-matrix results bitwise."""
+    """One stacked LAPACK call per pair, as _ipm makes it under
+    soscert._lapack_errors, gives the per-matrix results bitwise."""
+
+    @staticmethod
+    def inverse_choleskys(XZ):
+        """_ipm's L, with L[0] X L[0]^T = I and L[1] Z L[1]^T = I."""
+        with soscert._lapack_errors():
+            return soscert._inv(soscert._cholesky(XZ, signature="d->d"), signature="d->d")
+
+    @staticmethod
+    def solve(M, r):
+        """_ipm's Schur solve M^-1 r."""
+        with soscert._lapack_errors():
+            return soscert._solve1(M, r, signature="dd->d")
 
     @pytest.mark.parametrize("N", range(1, 31))
     def test_bitwise_equal_to_per_matrix(self, N):
@@ -1046,7 +1108,7 @@ class TestStackedFactorizations:
             B, C, E, G = rng.standard_normal((4, N, N))
             X, Z = B @ B.T + 0.1 * np.eye(N), C @ C.T + 0.1 * np.eye(N)
             dX, dZ = E + E.T, G + G.T
-            L = soscert._inverse_choleskys(np.stack((X, Z)))
+            L = self.inverse_choleskys(np.stack((X, Z)))
             singles = [np.linalg.inv(np.linalg.cholesky(P)) for P in (X, Z)]
             assert L[0].tobytes() == singles[0].tobytes()
             assert L[1].tobytes() == singles[1].tobytes()
@@ -1057,7 +1119,8 @@ class TestStackedFactorizations:
                 for Li, Di in zip(singles, D):
                     low = float(np.linalg.eigvalsh(Li @ Di @ Li.T)[0])
                     expected.append(math.inf if low >= 0 else -1.0 / low)
-                assert soscert._max_steps(L, np.stack(D)) == expected
+                with soscert._lapack_errors():
+                    assert soscert._max_steps(L, np.stack(D)) == expected
 
     @pytest.mark.parametrize("N", range(1, 31))
     def test_schur_solve_bitwise_equal_to_solve(self, N):
@@ -1066,15 +1129,15 @@ class TestStackedFactorizations:
             B, C = rng.standard_normal((2, N, N))
             r = rng.standard_normal(N)
             for M in (B, C @ C.T + 0.1 * np.eye(N)):
-                assert soscert._schur_solve(M, r).tobytes() == np.linalg.solve(M, r).tobytes()
+                assert self.solve(M, r).tobytes() == np.linalg.solve(M, r).tobytes()
 
     def test_factorization_failure_raises(self):
         """An indefinite X or Z and a singular M raise LinAlgError, with no
         RuntimeWarning and numpy's error state as it was before the call."""
         breakdowns = [
-            lambda: soscert._inverse_choleskys(np.stack((np.eye(2), -np.eye(2)))),
-            lambda: soscert._inverse_choleskys(np.stack((np.diag([1.0, -1.0]), np.eye(2)))),
-            lambda: soscert._schur_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)),
+            lambda: self.inverse_choleskys(np.stack((np.eye(2), -np.eye(2)))),
+            lambda: self.inverse_choleskys(np.stack((np.diag([1.0, -1.0]), np.eye(2)))),
+            lambda: self.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)),
         ]
         for call in breakdowns:
             before = np.geterr(), np.geterrcall()
