@@ -48,11 +48,17 @@ def _dump(doc):
 
 
 def _emit(doc, args):
+    """Write the document to --output, if given, and then to stdout, so a
+    path that cannot be written leaves stdout empty."""
     text = _dump({"schema": 1, "command": args.command, **doc})
+    path = getattr(args, "output", None)
+    if path:
+        try:
+            with open(path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise StructuralError(f"--output: cannot write {path!r}: {exc.strerror}") from None
     sys.stdout.write(text)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as handle:
-            handle.write(text)
 
 
 def _parse_all(texts):
@@ -72,7 +78,8 @@ def _number(convert, token, option):
 
 
 def _csv_floats(text, option):
-    return [_number(float, x, option) for x in text.split(",") if x.strip() != ""]
+    """Every comma-separated token as a float; only an empty value is []."""
+    return [_number(float, x, option) for x in text.split(",")] if text else []
 
 
 def _scan_grids(args):

@@ -48,9 +48,12 @@ trace 1, orthogonal to the kernel directions, making <W, A0> negative),
 never as a proof, and only when the solve converged and the witness passes
 the EVIDENCE_TOL gate.
 
-A numeric point lam is rounded to Fraction(x).limit_denominator(b) for
-each bound b in turn, all bounds from one continued-fraction expansion of
-each value (_roundings); a bound that gives the same rounding as the last
+Every rounding follows one schedule, _DENOMINATOR_BOUNDS = (10, 100,
+10**4): a numeric point lam, and the face step's near-kernel vectors
+alike, are rounded to Fraction(x).limit_denominator(b) for each bound b in
+turn, all bounds from one continued-fraction expansion of each value
+(_roundings), and each rounding is checked exactly (Peyrl-Parrilo, Theor.
+Comput. Sci. 409, 2008). A bound that gives the same rounding as the last
 one is skipped. Each rounded point A0 + sum lam_i S_i is summed on integer
 numerators over one common denominator (_affine_numerators), and the exact
 PSD test reads those numerators, so a failed rounding builds no Fraction.
@@ -105,8 +108,8 @@ _IPM_STALL = 5
 _STEP_FRACTION = 0.98
 _SCHUR_BLOCK = 1 << 20  # entries of the products X F_l Zi held at once
 _HUNT_SLACK = 1e-6
-_ROUND_BOUNDS = (10, 100, 10**4, 10**6)
-_VECTOR_BOUNDS = (10, 100, 10**4)
+# the one rounding schedule, for lam and for the face step's vectors
+_DENOMINATOR_BOUNDS = (10, 100, 10**4)
 # why a search that came near feasibility is undecided
 _NO_EXACT_ROUNDING = "numeric search found a near-feasible point but no exact rounding succeeded"
 
@@ -723,7 +726,7 @@ def _round_lam(A0, kernel_mats, lam_floats):
     """First rounding of lam (by growing denominator bound, see _rounded)
     that is PSD. The exact PSD test reads the point's integer numerators,
     so a failed rounding builds no Fraction."""
-    for lam in _rounded(lam_floats, _ROUND_BOUNDS):
+    for lam in _rounded(lam_floats, _DENOMINATOR_BOUNDS):
         if _is_psd_entries(_affine_numerators(A0, kernel_mats, lam)[0].items(), A0.size):
             return lam
     return None
@@ -893,7 +896,7 @@ def _face_step(A0, kernel_mats, size, lam_floats):
     if reduced.size == 0:
         return None
     width = reduced.shape[1]
-    for flat in _rounded(reduced.ravel(), _VECTOR_BOUNDS):
+    for flat in _rounded(reduced.ravel(), _DENOMINATOR_BOUNDS):
         vectors = [flat[r:r + width] for r in range(0, len(flat), width)]
         gram, _lam, _solve = _solve_family(A0, kernel_mats, size, zeros=vectors)
         if gram is not None:

@@ -599,6 +599,12 @@ class TestPlumbing:
             (("herglotz-scan", "-1", "z1", "--xhat-values", "0,abc"), "--xhat-values", "abc"),
             (("herglotz-scan", "-1", "z1", "--z1-real", "a"), "--z1-real", "a"),
             (("crosscheck", "-1", "z1", "--z1-imag", "b"), "--z1-imag", "b"),
+            # an empty token is no number
+            *(
+                (("herglotz-scan", "-1", "z1", option, values), option, "")
+                for option in ("--xhat-values", "--z1-real", "--z1-imag")
+                for values in ("1,,2", "1,", ",")
+            ),
         ],
     )
     def test_malformed_number_is_structured(self, capsys, argv, option, token):
@@ -608,6 +614,14 @@ class TestPlumbing:
         error = json.loads(err)["error"]
         assert error["type"] == "StructuralError"
         assert option in error["message"] and repr(token) in error["message"]
+
+    def test_unwritable_output_is_structured(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sos", "z1^2 + 1", "--output", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "StructuralError"
+        assert error["message"] == f"--output: cannot write {str(tmp_path)!r}: Is a directory"
 
     @pytest.mark.parametrize("text, col", [("-z1 +* 2", 6), ("  -z1 +* 2", 8)])
     def test_parse_error_column_of_dash_leading_polynomial(self, capsys, text, col):

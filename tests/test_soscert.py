@@ -36,6 +36,12 @@ CHOI_LAM_TERNARY = "z1^4*z2^2 + z2^4*z3^2 + z3^4*z1^2 - 3*z1^2*z2^2*z3^2"
 ROBINSON = (
     "z1^6 + z2^6 + 1 - z1^4*z2^2 - z1^2*z2^4 - z1^4 - z2^4 - z1^2 - z2^2 + 3*z1^2*z2^2"
 )
+# a sum of squares that the certifier leaves undecided; the stress
+# operation of the wronskian-batch benchmark workload
+STRESS_SUM = (
+    "(-4*z3^2 + 3*z1 - 5*z2)^2 + (-5*z1*z3 - z2^2 + 1/2)^2"
+    " + (-1/2*z1^2 - 1/2*z2*z3)^2"
+)
 
 
 def poly(text, nvars=None):
@@ -304,8 +310,10 @@ class TestSolveFamily:
             return gram, lam, solve
 
         def rounded_spy(values, bounds):
+            # a generator's body runs in the frame that iterates it
+            face_step = sys._getframe(1).f_code.co_name == "_face_step"
             for flat in rounded(values, bounds):
-                if bounds == soscert._VECTOR_BOUNDS:
+                if face_step:
                     vectors.append(list(flat))
                 yield flat
 
@@ -907,7 +915,7 @@ ROUNDING_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 ROUNDING_BOUNDS = st.one_of(
-    st.sampled_from((soscert._ROUND_BOUNDS, soscert._VECTOR_BOUNDS)),
+    st.just(soscert._DENOMINATOR_BOUNDS),
     st.lists(
         st.one_of(st.integers(1, 12), st.integers(1, 10**7)),
         min_size=1,
@@ -945,7 +953,7 @@ class TestRoundings:
         ]
 
     def test_repeated_rounding_is_left_out(self):
-        bounds = soscert._ROUND_BOUNDS
+        bounds = soscert._DENOMINATOR_BOUNDS
         assert list(soscert._rounded([0.5, -0.25, 3.0], bounds)) == [
             [Fraction(1, 2), Fraction(-1, 4), Fraction(3)]
         ]
@@ -955,6 +963,27 @@ class TestRoundings:
             distinct = [r for k, r in enumerate(per_bound) if not k or r != per_bound[k - 1]]
             assert list(soscert._rounded(values, bounds)) == distinct
         assert len(distinct) == len(bounds) > len(list(soscert._rounded(values[:1], bounds)))
+
+    def test_one_schedule_for_every_rounding(self, monkeypatch):
+        # the workloads' stress sum of squares rounds lam after the first
+        # solve, in the face step and in the vertex hunt
+        calls = []  # (bounds, caller, caller's caller) of each rounding
+        rounded = soscert._rounded
+
+        def spy(values, bounds):
+            frame = sys._getframe(1)
+            calls.append((bounds, frame.f_code.co_name, frame.f_back.f_code.co_name))
+            return rounded(values, bounds)
+
+        monkeypatch.setattr(soscert, "_rounded", spy)
+        sos_certify(poly(STRESS_SUM, 3))
+        assert soscert._DENOMINATOR_BOUNDS == (10, 100, 10**4)
+        assert all(bounds is soscert._DENOMINATOR_BOUNDS for bounds, _, _ in calls)
+        assert {call[1:] for call in calls} >= {
+            ("_round_lam", "_solve_family"),
+            ("_face_step", "sos_certify"),
+            ("_round_lam", "_vertex_hunt"),
+        }
 
     def test_round_lam_tests_each_distinct_rounding_once(self, monkeypatch):
         tests = []
